@@ -8,7 +8,7 @@
 // assignments are scored under the *weighted* (LTS work) imbalance metric —
 // the quantity the weighted partitioner minimizes and the unweighted one is
 // blind to — and a small hybrid ranks x threads run measures the wall-clock
-// effect of each assignment with the static and the work-stealing executor.
+// effect of each assignment.
 // Everything lands in BENCH_fig7.json (imbalance rows + runtime rows).
 #include <cstdio>
 #include <thread>
@@ -98,48 +98,42 @@ int main() {
     }
   }
 
-  // Runtime A/B: the same hybrid ranks x threads run under each assignment,
-  // with the static and the work-stealing executor (all four combinations
-  // are bitwise-identical — only the wall clock moves). Overlap is on so the
-  // dynamic executor's halo-first chunk priority is exercised for real.
+  // Runtime A/B: the same hybrid ranks x threads run under each assignment
+  // (bitwise-identical — only the wall clock moves), with the overlapped
+  // exchange when there is more than one rank.
   const int_t ranks = std::thread::hardware_concurrency() >= 4 ? 2 : 1;
   const int_t threads = 2;
   std::printf("=== runtime A/B (%lld ranks x %lld threads, overlap on) ===\n",
               static_cast<long long>(ranks), static_cast<long long>(threads));
-  Table rt({"partition", "executor", "wall s", "updates/s"});
+  Table rt({"partition", "wall s", "updates/s"});
   for (const bool weighted : {false, true}) {
     const auto& graph = weighted ? gw : gu;
     const auto parts = partition::partitionGraph(graph, sc.mesh, ranks);
-    for (const bool dynamic : {false, true}) {
-      parallel::DistConfig cfg;
-      cfg.sim.order = 4;
-      cfg.sim.scheme = solver::TimeScheme::kLtsNextGen;
-      cfg.sim.numClusters = 5;
-      cfg.sim.lambda = sweep.bestLambda;
-      cfg.sim.kernelBackend = bench::benchKernelBackend();
-      cfg.sim.numThreads = threads;
-      cfg.sim.executorMode =
-          dynamic ? solver::ExecutorMode::kDynamic : solver::ExecutorMode::kStatic;
-      cfg.compressFaces = true;
-      cfg.transport = ranks > 1 ? parallel::Transport::kThread : parallel::Transport::kSeq;
-      cfg.overlap = ranks > 1;
-      parallel::DistributedSimulation<float, 1> sim(sc.mesh, sc.materials, parts.part, cfg);
-      sim.setInitialCondition(pulse);
-      sim.run(sim.cycleDt()); // warm-up
-      const auto st = sim.run(4.0 * sim.cycleDt());
-      const double ups = static_cast<double>(st.elementUpdates) / st.seconds;
-      rt.addRow({weighted ? "weighted" : "unweighted", dynamic ? "dynamic" : "static",
-                 formatNumber(st.seconds, "%.3f"), formatNumber(ups, "%.3g")});
-      json.beginRow();
-      json.rowSet("mode", "runtime");
-      json.rowSet("ranks", static_cast<double>(ranks));
-      json.rowSet("threads_per_rank", static_cast<double>(threads));
-      json.rowSet("weighting", weighted ? "weighted" : "unweighted");
-      json.rowSet("executor", dynamic ? "dynamic" : "static");
-      json.rowSet("weighted_imbalance", partition::measureImbalance(gw, parts.part, ranks));
-      json.rowSet("seconds", st.seconds);
-      json.rowSet("updates_per_sec", ups);
-    }
+    parallel::DistConfig cfg;
+    cfg.sim.order = 4;
+    cfg.sim.scheme = solver::TimeScheme::kLtsNextGen;
+    cfg.sim.numClusters = 5;
+    cfg.sim.lambda = sweep.bestLambda;
+    cfg.sim.kernelBackend = bench::benchKernelBackend();
+    cfg.sim.numThreads = threads;
+    cfg.compressFaces = true;
+    cfg.transport = ranks > 1 ? parallel::Transport::kThread : parallel::Transport::kSeq;
+    cfg.overlap = ranks > 1;
+    parallel::DistributedSimulation<float, 1> sim(sc.mesh, sc.materials, parts.part, cfg);
+    sim.setInitialCondition(pulse);
+    sim.run(sim.cycleDt()); // warm-up
+    const auto st = sim.run(4.0 * sim.cycleDt());
+    const double ups = static_cast<double>(st.elementUpdates) / st.seconds;
+    rt.addRow({weighted ? "weighted" : "unweighted", formatNumber(st.seconds, "%.3f"),
+               formatNumber(ups, "%.3g")});
+    json.beginRow();
+    json.rowSet("mode", "runtime");
+    json.rowSet("ranks", static_cast<double>(ranks));
+    json.rowSet("threads_per_rank", static_cast<double>(threads));
+    json.rowSet("weighting", weighted ? "weighted" : "unweighted");
+    json.rowSet("weighted_imbalance", partition::measureImbalance(gw, parts.part, ranks));
+    json.rowSet("seconds", st.seconds);
+    json.rowSet("updates_per_sec", ups);
   }
   std::printf("%s\n", rt.str().c_str());
 

@@ -157,9 +157,8 @@ int main() {
   json.rowSet("updates_per_sec_index_lists", lists.updatesPerSec);
   json.rowSet("reorder_speedup", packed.updatesPerSec / lists.updatesPerSec);
 
-  // Thread-count sweep of the threaded StepExecutor (static chunks over the
-  // cluster-contiguous ranges, first-touch-matched): the same LTS setting at
-  // 1/2/4/8 threads. Results are bitwise-identical across the sweep — only
+  // Thread-count sweep of the threaded StepExecutor (work-stolen chunks of
+  // the cluster-contiguous ranges): the same LTS setting at 1/2/4/8 threads. Results are bitwise-identical across the sweep — only
   // throughput moves.
   {
     std::printf("\nLTS thread sweep (%lld hardware threads):\n",
@@ -201,7 +200,7 @@ int main() {
       dcfg.sim.kernelBackend = bench::benchKernelBackend();
       dcfg.sim.numThreads = std::max<int_t>(1, solver::hardwareThreads() / 2);
       dcfg.compressFaces = mode == 1;
-      dcfg.threaded = true;
+      dcfg.transport = parallel::Transport::kThread;
       parallel::DistributedSimulation<float, 1> dist(sc.mesh, sc.materials, parts.part, dcfg);
       dist.setInitialCondition([](const std::array<double, 3>& x, int_t, double* q9) {
         for (int_t v = 0; v < 9; ++v) q9[v] = 0.0;

@@ -2,9 +2,12 @@
 // scenarios with flag overrides for order, scheme, cluster count, fused
 // width, end time and mesh scale. See src/cli/scenario.hpp for the
 // scenario/registry API and scenarios_builtin.cpp for the workloads.
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
+#include <limits>
+#include <stdexcept>
 #include <string>
 
 #include "cli/scenario.hpp"
@@ -44,14 +47,12 @@ void printUsage() {
       "      --precision P     arithmetic precision: f64 | f32 (default f64 for\n"
       "                        quickstart/loh3; fused/lahabra are f32-only; f32\n"
       "                        accuracy is misfit-gated, see docs/KERNELS.md)\n"
-      "      --executor M      chunk scheduling of the solver loops: static | dynamic\n"
-      "                        (default static; dynamic work-steals whole chunks,\n"
-      "                        halo-boundary chunks first; bitwise-identical results)\n"
       "      --partition W     rank-partitioner weighting: weighted | unweighted\n"
       "                        (default weighted = LTS update frequency + face-flux\n"
       "                        share; affects rank balance only, results are\n"
       "                        bitwise-identical to single-rank either way)\n"
-      "      --lambda X        fixed cluster-growth lambda (disables the auto sweep)\n"
+      "      --lambda X        fixed cluster-growth lambda in (0.5, 1] (disables the\n"
+      "                        auto sweep)\n"
       "      --scale S         mesh-resolution multiplier (default 1.0)\n"
       "      --mesh-file F     run on an external Gmsh .msh 4.1 tet mesh instead of\n"
       "                        the scenario's built-in mesh (supersedes --scale;\n"
@@ -87,25 +88,32 @@ std::string requireValue(int argc, char** argv, int& i) {
 }
 
 double parseDouble(const std::string& flag, const std::string& value) {
+  std::size_t pos = 0;
+  double v = 0.0;
   try {
-    std::size_t pos = 0;
-    const double v = std::stod(value, &pos);
-    if (pos != value.size()) throw std::invalid_argument(value);
-    return v;
+    v = std::stod(value, &pos);
   } catch (const std::exception&) {
     usageError("invalid number '" + value + "' for " + flag);
   }
+  if (pos != value.size()) usageError("invalid number '" + value + "' for " + flag);
+  if (!std::isfinite(v)) usageError("non-finite value '" + value + "' for " + flag);
+  return v;
 }
 
 int_t parseInt(const std::string& flag, const std::string& value) {
+  std::size_t pos = 0;
+  long long v = 0;
   try {
-    std::size_t pos = 0;
-    const long v = std::stol(value, &pos);
-    if (pos != value.size()) throw std::invalid_argument(value);
-    return static_cast<int_t>(v);
+    v = std::stoll(value, &pos);
+  } catch (const std::out_of_range&) {
+    usageError("integer '" + value + "' out of range for " + flag);
   } catch (const std::exception&) {
     usageError("invalid integer '" + value + "' for " + flag);
   }
+  if (pos != value.size()) usageError("invalid integer '" + value + "' for " + flag);
+  if (v < std::numeric_limits<int_t>::min() || v > std::numeric_limits<int_t>::max())
+    usageError("integer '" + value + "' out of range for " + flag);
+  return static_cast<int_t>(v);
 }
 
 } // namespace
@@ -162,12 +170,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--precision") {
       try {
         opts.precision = nglts::solver::parsePrecision(requireValue(argc, argv, i));
-      } catch (const std::invalid_argument& e) {
-        usageError(e.what());
-      }
-    } else if (arg == "--executor") {
-      try {
-        opts.executor = nglts::solver::parseExecutorMode(requireValue(argc, argv, i));
       } catch (const std::invalid_argument& e) {
         usageError(e.what());
       }

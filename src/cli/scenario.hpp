@@ -40,7 +40,7 @@ struct ScenarioOptions {
   /// (at either --precision), 1, 8 or 16 for the single-precision fused/
   /// lahabra scenarios (the instantiated kernel widths).
   std::optional<int_t> fusedWidth;
-  /// Simulated end time [s] (> 0). Scenarios run full LTS cycles until at
+  /// Simulated end time [s] (finite, > 0). Scenarios run full LTS cycles until at
   /// least this much physical time is covered.
   std::optional<double> endTime;
   /// Number of distributed ranks (>= 1). When > 1, scenarios that support
@@ -75,22 +75,16 @@ struct ScenarioOptions {
   /// bitwise identity — see docs/KERNELS.md). The fused and lahabra
   /// scenarios are single-precision by design and reject an explicit f64.
   std::optional<solver::Precision> precision;
-  /// Chunk→thread scheduling of the solver loops (`SimConfig::executorMode`,
-  /// the `--executor` flag): `static` (chunk t on thread t, the bitwise
-  /// reference) or `dynamic` (work-stealing over an over-decomposed chunk
-  /// map, halo-boundary chunks first). Results are bitwise-identical across
-  /// modes and thread counts — a pure performance knob.
-  std::optional<solver::ExecutorMode> executor;
   /// Dual-graph weighting of the rank partitioner
   /// (`SimConfig::partitionWeighting`, the `--partition` flag): `weighted`
   /// (LTS update frequency + face-flux share, the default) or `unweighted`
   /// (plain element counts). Changes which elements land on which rank —
   /// results stay bitwise-identical to single-rank either way.
   std::optional<partition::PartitionWeighting> partition;
-  /// Fixed cluster-growth control parameter lambda (>= 0); setting it
+  /// Fixed cluster-growth control parameter lambda in (0.5, 1]; setting it
   /// disables the scenario's automatic lambda sweep (Sec. V-A).
   std::optional<double> lambda;
-  /// Mesh-resolution multiplier (> 0): 1 = the scenario's canonical mesh,
+  /// Mesh-resolution multiplier (finite, > 0): 1 = the scenario's canonical mesh,
   /// < 1 coarser (fast smoke runs), > 1 finer. Element count scales
   /// roughly with meshScale^3.
   double meshScale = 1.0;
@@ -204,9 +198,10 @@ void registerBuiltinScenarios();
 std::unique_ptr<Scenario> makeBatchScenario();
 
 /// Apply the generic `SimConfig` overrides (order, scheme, clusters,
-/// kernel backend, lambda, threads) and range-check them. Shared by the
-/// scenario implementations (scenarios_builtin.cpp, scenario_batch.cpp);
-/// `defaultRanks` only feeds the `--threads` default.
+/// kernel backend, lambda, threads) and range-check the result with
+/// `solver::validateSimConfig`. Shared by the scenario implementations
+/// (scenarios_builtin.cpp, scenario_batch.cpp); `defaultRanks` only feeds
+/// the `--threads` default.
 void applyScenarioOverrides(solver::SimConfig& cfg, const ScenarioOptions& opts,
                             int_t defaultRanks = 1);
 

@@ -78,11 +78,9 @@ void appendKernelLine(std::string& out, const solver::SimConfig& cfg) {
   appendf(out, "kernel backend: %s\n",
           linalg::resolvedKernelBackendLabel(cfg.kernelBackend).c_str());
   appendf(out, "precision: %s\n", solver::precisionName(cfg.precision));
-  // Non-default scheduling knobs are worth a summary line (CI greps them to
-  // confirm the flag reached the engine); the defaults stay silent so
+  // A non-default partition weighting is worth a summary line (CI greps it
+  // to confirm the flag reached the engine); the default stays silent so
   // existing summary expectations hold.
-  if (cfg.executorMode != solver::ExecutorMode::kStatic)
-    appendf(out, "executor: %s\n", solver::executorModeName(cfg.executorMode));
   if (cfg.partitionWeighting != partition::PartitionWeighting::kWeighted)
     appendf(out, "partition: %s\n", partition::partitionWeightingName(cfg.partitionWeighting));
 }
@@ -914,22 +912,15 @@ void applyScenarioOverrides(solver::SimConfig& cfg, const ScenarioOptions& opts,
   // build/host fails at config time (never a silent fallback mid-run).
   linalg::resolveKernelBackend(cfg.kernelBackend);
   if (opts.precision) cfg.precision = *opts.precision;
-  if (opts.executor) cfg.executorMode = *opts.executor;
   if (opts.partition) cfg.partitionWeighting = *opts.partition;
   if (opts.lambda) {
     cfg.lambda = *opts.lambda;
     cfg.autoLambda = false;
   }
-  if (cfg.order < 1 || cfg.order > 7)
-    throw std::invalid_argument("order must be in 1..7");
-  if (cfg.numClusters < 1)
-    throw std::invalid_argument("clusters must be >= 1");
-  if (cfg.lambda < 0.0)
-    throw std::invalid_argument("lambda must be >= 0");
-  if (opts.endTime && !(*opts.endTime > 0.0))
-    throw std::invalid_argument("end time must be > 0");
-  if (!(opts.meshScale > 0.0))
-    throw std::invalid_argument("mesh scale must be > 0");
+  if (opts.endTime && !(*opts.endTime > 0.0 && std::isfinite(*opts.endTime)))
+    throw std::invalid_argument("end time must be finite and > 0");
+  if (!(opts.meshScale > 0.0 && std::isfinite(opts.meshScale)))
+    throw std::invalid_argument("mesh scale must be finite and > 0");
   if (opts.ranks && *opts.ranks < 1)
     throw std::invalid_argument("ranks must be >= 1");
   // Executor threads per rank: explicit --threads wins; the default splits
@@ -942,6 +933,8 @@ void applyScenarioOverrides(solver::SimConfig& cfg, const ScenarioOptions& opts,
     throw std::invalid_argument("threads must be >= 1, got " +
                                 std::to_string(cfg.numThreads) +
                                 " (--threads 0 is not a serial run; use --threads 1)");
+  // The one range check of the remaining fields (order, clusters, lambda).
+  solver::validateSimConfig(cfg);
 }
 
 void applyIngestionOverrides(pre::PipelineConfig& cfg, const ScenarioOptions& opts) {

@@ -20,7 +20,7 @@ std::vector<double> cflTimeSteps(const std::vector<mesh::ElementGeometry>& geo,
 Clustering buildClustering(const mesh::TetMesh& mesh, const std::vector<double>& dtCfl,
                            int_t numClusters, double lambda, bool normalize) {
   if (numClusters < 1) throw std::runtime_error("buildClustering: numClusters >= 1 required");
-  if (lambda <= 0.5 || lambda > 1.0)
+  if (!(lambda > 0.5 && lambda <= 1.0)) // written to reject NaN too
     throw std::runtime_error("buildClustering: lambda must be in (0.5, 1]");
   Clustering out;
   out.numClusters = numClusters;

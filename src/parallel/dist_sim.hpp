@@ -78,9 +78,6 @@ struct DistConfig {
   /// rank threads, or real MPI — one process per rank, requires a build
   /// with NGLTS_WITH_MPI=ON and `mpiInit` before construction.
   Transport transport = Transport::kSeq;
-  /// Legacy alias for `transport = Transport::kThread`; honored only while
-  /// `transport` is still the default kSeq.
-  bool threaded = false;
   /// Split each schedule op into halo-boundary and interior subsets so the
   /// exchange overlaps interior compute (bitwise-identical to lockstep).
   bool overlap = false;
@@ -121,8 +118,8 @@ class DistributedSimulation {
   const lts::Clustering& clustering() const { return clustering_; }
   double cycleDt() const { return clustering_.clusterDt.back(); }
   int_t ranks() const { return numRanks_; }
-  /// The transport actually driving the run (after the `threaded` alias).
-  Transport transport() const { return transport_; }
+  /// The transport driving the run (`DistConfig::transport`).
+  Transport transport() const { return cfg_.transport; }
   /// The one rank this process executes under MPI, or -1 when every rank
   /// runs in-process (SeqComm/ThreadComm).
   int_t localRank() const { return localRank_; }
@@ -172,7 +169,6 @@ class DistributedSimulation {
   Rank& ownedRank(int_t r) const;
 
   DistConfig cfg_;
-  Transport transport_ = Transport::kSeq;
   int_t localRank_ = -1; ///< -1: all ranks in-process; else the MPI rank
   mesh::TetMesh mesh_;                        ///< global external order
   std::vector<physics::Material> materials_;  ///< global external order

@@ -144,14 +144,11 @@ DistributedSimulation<Real, W>::DistributedSimulation(mesh::TetMesh mesh,
       cfg_.sim.order, cfg_.sim.mechanisms, cfg_.sim.sparseKernels, omega,
       cfg_.sim.kernelBackend);
 
-  transport_ = cfg_.transport;
-  if (cfg_.threaded && transport_ == Transport::kSeq) transport_ = Transport::kThread;
-
   if (cfg_.commFactory) {
     comm_ = cfg_.commFactory(numRanks_);
     if (!comm_) throw std::invalid_argument("DistributedSimulation: commFactory returned null");
   } else {
-    switch (transport_) {
+    switch (cfg_.transport) {
       case Transport::kSeq: comm_ = std::make_unique<SeqComm>(numRanks_); break;
       case Transport::kThread: comm_ = std::make_unique<ThreadComm>(numRanks_); break;
       case Transport::kMpi: comm_ = makeMpiComm(numRanks_); break;
@@ -270,17 +267,6 @@ void DistributedSimulation<Real, W>::buildRank(int_t r) {
   rank->exec = std::make_unique<solver::StepExecutor<Real, W>>(
       cfg_.sim, *kernels_, *rank->state, view.clustering, schedule_, rank->hook.get(),
       std::move(policy));
-  if (cfg_.sim.executorMode == solver::ExecutorMode::kDynamic) {
-    // Dynamic mode: queue halo-boundary chunks first so the data the
-    // exchange ships is computed earliest in each op — with `--overlap`,
-    // the boundary-subset call returns (and sends post) as soon as every
-    // thread has drained those front-of-queue chunks. Pure ordering hint;
-    // results stay bitwise-identical.
-    std::vector<idx_t> bound;
-    for (int_t c = 0; c < nc; ++c)
-      bound.insert(bound.end(), rank->haloBound[c].begin(), rank->haloBound[c].end());
-    rank->exec->setHaloPriority(bound);
-  }
   ranks_[r] = std::move(rank);
 }
 
@@ -565,7 +551,7 @@ DistStats DistributedSimulation<Real, W>::run(double endTime) {
     Rank& rank = *ranks_[localRank_];
     for (std::uint64_t c = 0; c < cycles; ++c)
       for (const lts::ScheduleOp& op : schedule_) stepOp(rank, op);
-  } else if (transport_ == Transport::kSeq) {
+  } else if (cfg_.transport == Transport::kSeq) {
     // Deterministic lockstep: all ranks execute schedule op i before any
     // rank starts op i+1 — every SeqComm receive then finds its message
     // (the schedule's write-before-read guarantee, applied across ranks).

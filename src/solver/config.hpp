@@ -47,33 +47,6 @@ inline Precision parsePrecision(const std::string& s) {
 /// snapshot validation).
 inline int_t precisionBytes(Precision p) { return p == Precision::kF32 ? 4 : 8; }
 
-/// How the `StepExecutor` maps an op's chunks onto threads. `kStatic` is
-/// the reference: chunk t runs on team thread t, matching the arena's NUMA
-/// first-touch map. `kDynamic` over-decomposes each op into more chunks
-/// than threads and lets idle threads *steal* whole chunks from their
-/// neighbors' queues — better tail latency when LTS clusters (or shared
-/// machines) make per-chunk cost uneven. Both modes use the same pure
-/// chunk→element map and per-chunk workspaces, so results are
-/// bitwise-identical across modes and thread counts (threading.hpp).
-enum class ExecutorMode : int_t {
-  kStatic = 0,  ///< chunk t on thread t (the bitwise reference schedule)
-  kDynamic      ///< work-stealing over an over-decomposed chunk map
-};
-
-/// Stable name of an executor mode: "static" | "dynamic" (CLI/bench).
-inline const char* executorModeName(ExecutorMode m) {
-  return m == ExecutorMode::kDynamic ? "dynamic" : "static";
-}
-
-/// Inverse of `executorModeName`; throws `std::invalid_argument` on
-/// anything else (the CLI's `--executor` error path).
-inline ExecutorMode parseExecutorMode(const std::string& s) {
-  if (s == "static") return ExecutorMode::kStatic;
-  if (s == "dynamic") return ExecutorMode::kDynamic;
-  throw std::invalid_argument("unknown executor mode '" + s +
-                              "' (expected static | dynamic)");
-}
-
 /// Solver configuration shared by all time-stepping schemes. Every field
 /// has a validated range; `Simulation`'s constructor throws
 /// `std::invalid_argument` on violations.
@@ -115,8 +88,10 @@ struct SimConfig {
   /// uses 3 for LOH.3 (Fig. 4) and 5 for La Habra (Fig. 5).
   int_t numClusters = 3;
   /// Cluster-growth control parameter lambda of the clustering criterion
-  /// (Sec. V-A): elements with dt < (1 + lambda) * 2^c * dt_min may stay
-  /// in cluster c. Valid: >= 0; ignored when `autoLambda` is set.
+  /// (Sec. V-A): cluster c steps at 2^c * lambda * dt_min and takes the
+  /// elements whose CFL step lies in [2^c, 2^(c+1)) * lambda * dt_min.
+  /// Valid: (0.5, 1], the range `lts::buildClustering` accepts; the value
+  /// is ignored (but still validated) when `autoLambda` is set.
   double lambda = 1.0;
   /// Sweep lambda over a grid and keep the value maximizing the
   /// theoretical speedup (the paper's auto-tuning of Sec. V-A).
@@ -138,15 +113,11 @@ struct SimConfig {
   /// OpenMP threads the `StepExecutor` element loops and the arena's NUMA
   /// first-touch pass use (per rank in distributed runs). Valid: >= 1;
   /// 1 = serial. Results are bitwise-identical for every value — each
-  /// element belongs to exactly one static chunk (solver/threading.hpp) —
-  /// so this is purely a performance knob. The CLI defaults it to the
-  /// hardware thread count divided by `--ranks`.
+  /// element belongs to exactly one indivisible chunk of a pure chunk map,
+  /// whichever thread steals it (solver/threading.hpp) — so this is purely
+  /// a performance knob. The CLI defaults it to the hardware thread count
+  /// divided by `--ranks`.
   int_t numThreads = 1;
-  /// Chunk→thread scheduling mode (`--executor {static,dynamic}`). Dynamic
-  /// work-stealing is opt-in; like `numThreads` it is purely a performance
-  /// knob — results stay bitwise-identical to the static reference because
-  /// chunks are the indivisible unit (see `ExecutorMode`).
-  ExecutorMode executorMode = ExecutorMode::kStatic;
   /// Dual-graph weighting the rank partitioner balances
   /// (`--partition {unweighted,weighted}`). Weighted is the default: LTS
   /// update frequencies plus a face-flux share (partition/dual_graph.hpp).
@@ -168,8 +139,9 @@ inline void validateSimConfig(const SimConfig& cfg) {
     throw std::invalid_argument("SimConfig: cfl must be in (0, 1]");
   if (cfg.numClusters < 1)
     throw std::invalid_argument("SimConfig: numClusters must be >= 1");
-  if (cfg.lambda < 0.0)
-    throw std::invalid_argument("SimConfig: lambda must be >= 0");
+  if (!(cfg.lambda > 0.5 && cfg.lambda <= 1.0)) // written to reject NaN too
+    throw std::invalid_argument("SimConfig: lambda must be in (0.5, 1], got " +
+                                std::to_string(cfg.lambda));
   if (cfg.mechanisms > 0 && !(cfg.attenuationFreq > 0.0))
     throw std::invalid_argument("SimConfig: attenuationFreq must be > 0 for anelastic runs");
   if (cfg.receiverSampleDt < 0.0)

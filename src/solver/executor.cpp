@@ -132,85 +132,38 @@ StepExecutor<Real, W>::StepExecutor(const SimConfig& cfg,
       policy_(policy ? std::move(policy)
                      : makeNeighborDataPolicy<Real, W>(cfg, state, kernels, clusterDt_)),
       nThreads_(checkedThreads(cfg.numThreads)),
-      mode_(cfg.executorMode),
-      nChunks_(mode_ == ExecutorMode::kDynamic ? dynamicChunkCount(nThreads_) : nThreads_),
+      nChunks_(dynamicChunkCount(nThreads_)),
       pool_(kernels, state.stackSize(), nChunks_) {}
 
 template <typename Real, int W>
-void StepExecutor<Real, W>::setHaloPriority(const std::vector<idx_t>& internalElems) {
-  haloPriority_.assign(static_cast<std::size_t>(state_.numElements()), 0);
-  for (idx_t el : internalElems) haloPriority_[el] = 1;
-}
-
-template <typename Real, int W>
 template <typename Fn>
-void StepExecutor<Real, W>::runChunksDynamic(idx_t begin, idx_t end,
-                                             const std::vector<idx_t>* elems, Fn&& fn) {
-  // Priority-ordered chunk sequence: chunks containing a halo-boundary
-  // element first, ascending chunk id within each class (a cheap byte scan
-  // with early exit — negligible next to the kernels behind `fn`). The
-  // order only steers *when* a chunk runs, never what it computes.
-  chunkOrder_.clear();
-  if (haloPriority_.empty()) {
-    for (int_t c = 0; c < nChunks_; ++c) chunkOrder_.push_back(c);
+void StepExecutor<Real, W>::forEachElement(int_t cluster, const std::vector<idx_t>* subset,
+                                           Fn&& fn) {
+  // Chunks of a contiguous cluster range are themselves contiguous, so the
+  // hot loops stream linearly through the reordered arena. The map depends
+  // only on (range, numThreads) and a chunk always runs whole with its own
+  // workspace, so results are bitwise-identical for every thread count and
+  // every steal timing (threading.hpp).
+  const std::vector<idx_t>* elems = subset;
+  idx_t begin = 0, end = 0;
+  if (!elems && state_.contiguousClusters()) {
+    begin = state_.clusterBegin(cluster);
+    end = state_.clusterEnd(cluster);
   } else {
-    for (int_t pass = 0; pass < 2; ++pass)
-      for (int_t c = 0; c < nChunks_; ++c) {
-        const ChunkRange r = staticChunk(begin, end, nChunks_, c);
-        bool prio = false;
-        for (idx_t i = r.begin; i < r.end && !prio; ++i)
-          prio = haloPriority_[elems ? (*elems)[i] : i] != 0;
-        if (prio == (pass == 0)) chunkOrder_.push_back(c);
-      }
+    if (!elems) elems = &state_.clusterElems(cluster);
+    end = static_cast<idx_t>(elems->size());
   }
-  stealChunks(chunkOrder_, nThreads_, [&](int_t c) {
-    if (chunkDelayHook_) chunkDelayHook_(c);
-    const ChunkRange r = staticChunk(begin, end, nChunks_, c);
-    for (idx_t i = r.begin; i < r.end; ++i) fn(elems ? (*elems)[i] : i, c);
+  stealChunks(nChunks_, nThreads_, [&](int_t chunk) {
+    if (chunkDelayHook_) chunkDelayHook_(chunk);
+    const ChunkRange r = staticChunk(begin, end, nChunks_, chunk);
+    for (idx_t i = r.begin; i < r.end; ++i) fn(elems ? (*elems)[i] : i, chunk);
   });
 }
 
 template <typename Real, int W>
-template <typename Fn>
-void StepExecutor<Real, W>::parallelElements(int_t cluster, Fn&& fn) {
-  // Static chunks of the contiguous range are themselves contiguous: the
-  // arena streaming of the reordered layout survives, and the element→chunk
-  // map matches the first-touch pass of SolverState — thread t walks pages
-  // it placed. The map depends only on (range, numThreads), so results are
-  // bitwise-identical for every thread count. The dynamic mode uses the
-  // same pure map over more chunks and steals them whole — identical
-  // results, timing-dependent placement (threading.hpp).
-  if (state_.contiguousClusters()) {
-    const idx_t begin = state_.clusterBegin(cluster), end = state_.clusterEnd(cluster);
-    if (mode_ == ExecutorMode::kDynamic) {
-      runChunksDynamic(begin, end, nullptr, fn);
-      return;
-    }
-    forEachChunk(nThreads_, [&](int_t t) {
-      const ChunkRange c = staticChunk(begin, end, nThreads_, t);
-      for (idx_t el = c.begin; el < c.end; ++el) fn(el, t);
-    });
-  } else {
-    parallelElementList(state_.clusterElems(cluster), fn);
-  }
-}
-
-template <typename Real, int W>
-template <typename Fn>
-void StepExecutor<Real, W>::parallelElementList(const std::vector<idx_t>& elems, Fn&& fn) {
-  if (mode_ == ExecutorMode::kDynamic) {
-    runChunksDynamic(0, static_cast<idx_t>(elems.size()), &elems, fn);
-    return;
-  }
-  forEachChunk(nThreads_, [&](int_t t) {
-    const ChunkRange c = staticChunk(0, static_cast<idx_t>(elems.size()), nThreads_, t);
-    for (idx_t i = c.begin; i < c.end; ++i) fn(elems[i], t);
-  });
-}
-
-template <typename Real, int W>
-void StepExecutor<Real, W>::localElement(idx_t el, double dt, double t0, bool odd, int_t tid) {
-  auto& w = pool_[tid];
+void StepExecutor<Real, W>::localElement(idx_t el, double dt, double t0, bool odd,
+                                         int_t chunk) {
+  auto& w = pool_[chunk];
   auto& s = w.scratch;
   std::uint64_t flops = 0;
   Real* q = state_.q(el);
@@ -231,18 +184,8 @@ void StepExecutor<Real, W>::localElement(idx_t el, double dt, double t0, bool od
 }
 
 template <typename Real, int W>
-void StepExecutor<Real, W>::localPhase(int_t cluster) {
-  const double dt = clusterDt_[cluster];
-  const idx_t step = clusterStep_[cluster];
-  const bool odd = (step % 2) != 0;
-  const double t0 = step * dt;
-  parallelElements(cluster,
-                   [&](idx_t el, int_t tid) { localElement(el, dt, t0, odd, tid); });
-}
-
-template <typename Real, int W>
-void StepExecutor<Real, W>::neighborElement(idx_t el, idx_t step, int_t tid) {
-  auto& w = pool_[tid];
+void StepExecutor<Real, W>::neighborElement(idx_t el, idx_t step, int_t chunk) {
+  auto& w = pool_[chunk];
   auto& s = w.scratch;
   std::uint64_t flops = 0;
   Real* q = state_.q(el);
@@ -261,34 +204,30 @@ void StepExecutor<Real, W>::neighborElement(idx_t el, idx_t step, int_t tid) {
 }
 
 template <typename Real, int W>
-void StepExecutor<Real, W>::neighborPhase(int_t cluster) {
-  const idx_t step = clusterStep_[cluster];
-  parallelElements(cluster, [&](idx_t el, int_t tid) { neighborElement(el, step, tid); });
-  ++clusterStep_[cluster];
-}
-
-template <typename Real, int W>
 void StepExecutor<Real, W>::runOp(const lts::ScheduleOp& op) {
-  if (op.kind == lts::PhaseKind::kLocal)
-    localPhase(op.cluster);
-  else
-    neighborPhase(op.cluster);
+  runOpOn(op, nullptr, /*completesOp=*/true);
 }
 
 template <typename Real, int W>
 void StepExecutor<Real, W>::runOp(const lts::ScheduleOp& op, const std::vector<idx_t>& elems,
                                   bool completesOp) {
+  runOpOn(op, &elems, completesOp);
+}
+
+template <typename Real, int W>
+void StepExecutor<Real, W>::runOpOn(const lts::ScheduleOp& op, const std::vector<idx_t>* subset,
+                                    bool completesOp) {
   const int_t cluster = op.cluster;
+  const idx_t step = clusterStep_[cluster];
   if (op.kind == lts::PhaseKind::kLocal) {
     const double dt = clusterDt_[cluster];
-    const idx_t step = clusterStep_[cluster];
     const bool odd = (step % 2) != 0;
     const double t0 = step * dt;
-    parallelElementList(elems,
-                        [&](idx_t el, int_t tid) { localElement(el, dt, t0, odd, tid); });
+    forEachElement(cluster, subset,
+                   [&](idx_t el, int_t chunk) { localElement(el, dt, t0, odd, chunk); });
   } else {
-    const idx_t step = clusterStep_[cluster];
-    parallelElementList(elems, [&](idx_t el, int_t tid) { neighborElement(el, step, tid); });
+    forEachElement(cluster, subset,
+                   [&](idx_t el, int_t chunk) { neighborElement(el, step, chunk); });
     if (completesOp) ++clusterStep_[cluster];
   }
 }

@@ -2,26 +2,23 @@
 // Layer 2 of the solver core: schedule execution. `StepExecutor` runs the
 // flattened rate-2 LTS op sequence (lts::ScheduleOp, paper Sec. V-B) over
 // the cluster-contiguous element ranges of a `SolverState`, one parallel
-// region per (phase, cluster) op: the op's range is cut into static
-// contiguous chunks (solver/threading.hpp). In the static executor mode
-// chunk t runs on thread t — the same map the arena's NUMA first-touch
-// pass used, so every thread streams through pages it placed itself; the
-// dynamic mode (`SimConfig::executorMode`) over-decomposes into
-// `dynamicChunkCount(numThreads)` chunks and work-steals them whole, with
-// halo-boundary chunks queued first (`setHaloPriority`). The
-// three neighbor-data paradigms — GTS direct-B1, the paper's
-// next-generation three-buffer scheme, and the buffer+derivative baseline
-// of [15] — are strategy classes behind the `NeighborDataPolicy` interface
-// instead of `if (scheme)` branches in the hot loop.
+// region per (phase, cluster) op: the op's range is cut into
+// `dynamicChunkCount(numThreads)` contiguous chunks of the pure
+// `staticChunk` map and the team work-steals them whole (`stealChunks`,
+// solver/threading.hpp). The three neighbor-data paradigms — GTS direct-B1,
+// the paper's next-generation three-buffer scheme, and the
+// buffer+derivative baseline of [15] — are strategy classes behind the
+// `NeighborDataPolicy` interface instead of `if (scheme)` branches in the
+// hot loop.
 //
-// The executor owns the per-thread `WorkspacePool` (kernel scratch,
+// The executor owns the per-chunk `WorkspacePool` (kernel scratch,
 // receiver derivative stacks, flop counters); sources and receivers stay in
 // the Simulation facade, which participates through the `LocalHook`
 // extension point (called after the kernel local phase of each element).
-// Results are bitwise-identical for every `numThreads`: each element is
-// updated by exactly one chunk in a fixed order, neighbor reads go through
-// the double-buffered policy data, and hook state is only touched from the
-// element that owns it.
+// Results are bitwise-identical for every `numThreads` and steal timing:
+// each element is updated by exactly one chunk in a fixed order with that
+// chunk's workspace, neighbor reads go through the double-buffered policy
+// data, and hook state is only touched from the element that owns it.
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -83,7 +80,7 @@ class StepExecutor {
   /// Facade extension point, invoked inside the local-phase element loop
   /// after the kernels ran (source injection, receiver sampling). Internal
   /// element ids. Thread-safety contract: an op's element range is
-  /// partitioned across threads, so `afterLocal` runs concurrently for
+  /// partitioned into chunks run concurrently, so `afterLocal` runs concurrently for
   /// *different* elements but never twice for the same element within an
   /// op — implementations may freely mutate state keyed by `internalEl`
   /// (per-source, per-receiver accumulators) and must not mutate anything
@@ -143,48 +140,26 @@ class StepExecutor {
   const std::vector<lts::ScheduleOp>& schedule() const { return schedule_; }
   const NeighborDataPolicy<Real, W>& neighborPolicy() const { return *policy_; }
 
-  /// Sum the per-thread flop counters and reset them.
+  /// Sum the per-chunk flop counters and reset them.
   std::uint64_t drainFlops();
 
-  /// Mark internal element ids whose chunks the dynamic mode schedules
-  /// *first* (front of every steal queue). The distributed driver passes the
-  /// union of its per-cluster halo-boundary lists so boundary data is ready
-  /// as early as possible for the halo exchange (`--overlap` posts sends
-  /// right after the boundary subset). Pure scheduling-order hint: results
-  /// are bitwise-identical with or without it, and the static mode ignores
-  /// it entirely.
-  void setHaloPriority(const std::vector<idx_t>& internalElems);
-
-  /// Test seam for the dynamic mode's differential suite: called with the
-  /// chunk id right before each chunk executes, from the executing thread.
-  /// Tests inject randomized sleeps here to force adversarial steal timings
-  /// and assert the results stay bitwise-identical. Never called in static
-  /// mode; must be thread-safe.
+  /// Test seam: called with the chunk id right before each chunk executes,
+  /// from the executing thread. Tests inject randomized sleeps here to force
+  /// adversarial steal timings and assert the results stay bitwise-identical.
+  /// Must be thread-safe.
   void setChunkDelayHook(std::function<void(int_t)> hook) { chunkDelayHook_ = std::move(hook); }
 
-  ExecutorMode executorMode() const { return mode_; }
-  /// Chunks each op is cut into: numThreads (static) or
-  /// `dynamicChunkCount(numThreads)` (dynamic) — also the workspace count.
-  int_t numChunks() const { return nChunks_; }
-
  private:
-  void localPhase(int_t cluster);
-  void neighborPhase(int_t cluster);
-  void localElement(idx_t el, double dt, double t0, bool odd, int_t tid);
-  void neighborElement(idx_t el, idx_t step, int_t tid);
-  /// Run `fn(el, tid)` over the op's element range in nChunks_ chunks of the
-  /// pure `staticChunk` map — chunk t on thread t in static mode, stolen in
-  /// whole-chunk units in dynamic mode (contiguous range or index-list
-  /// fallback, see threading.hpp). `tid` is the chunk id in both modes.
+  /// Both `runOp`s: `subset` = nullptr runs the op's whole cluster.
+  void runOpOn(const lts::ScheduleOp& op, const std::vector<idx_t>* subset, bool completesOp);
+  void localElement(idx_t el, double dt, double t0, bool odd, int_t chunk);
+  void neighborElement(idx_t el, idx_t step, int_t chunk);
+  /// Run `fn(el, chunk)` over `subset` or, if null, the cluster's elements
+  /// (contiguous range or index-list fallback), in nChunks_ chunks of the
+  /// pure `staticChunk` map stolen whole by the team (threading.hpp).
+  /// `chunk` selects the workspace.
   template <typename Fn>
-  void parallelElements(int_t cluster, Fn&& fn);
-  /// Same chunking over an explicit element list (the subset `runOp`).
-  template <typename Fn>
-  void parallelElementList(const std::vector<idx_t>& elems, Fn&& fn);
-  /// Dynamic-mode chunk execution over [begin, end) of the (possibly null)
-  /// index list: builds the priority-ordered chunk sequence and steals.
-  template <typename Fn>
-  void runChunksDynamic(idx_t begin, idx_t end, const std::vector<idx_t>* elems, Fn&& fn);
+  void forEachElement(int_t cluster, const std::vector<idx_t>* subset, Fn&& fn);
 
   const kernels::AderKernels<Real, W>& kernels_;
   SolverState<Real, W>& state_;
@@ -195,12 +170,9 @@ class StepExecutor {
   std::unique_ptr<NeighborDataPolicy<Real, W>> policy_;
 
   int_t nThreads_ = 1;           ///< SimConfig::numThreads (validated >= 1)
-  ExecutorMode mode_ = ExecutorMode::kStatic;
   int_t nChunks_ = 1;            ///< chunks per op (== workspace count)
   WorkspacePool<Real, W> pool_;  ///< per-chunk scratch/recStack/flops
-  std::vector<std::uint8_t> haloPriority_; ///< per internal element; empty = none
-  std::vector<int_t> chunkOrder_;          ///< scratch: priority-ordered chunk ids
-  std::function<void(int_t)> chunkDelayHook_; ///< test seam (dynamic mode)
+  std::function<void(int_t)> chunkDelayHook_; ///< test seam
 };
 
 extern template class StepExecutor<float, 1>;

@@ -107,9 +107,8 @@ class Simulation {
   /// contract as `receiver()`.
   seismo::Receiver& receiverMut(idx_t i) { return hook_->mutableReceiver(i); }
 
-  /// Forward of `StepExecutor::setChunkDelayHook` — the dynamic-mode
-  /// differential tests inject randomized per-chunk delays to force
-  /// adversarial steal timings (no-op in static mode).
+  /// Forward of `StepExecutor::setChunkDelayHook` — the equivalence tests
+  /// inject randomized per-chunk delays to force adversarial steal timings.
   void setChunkDelayHook(std::function<void(int_t)> hook) {
     executor_->setChunkDelayHook(std::move(hook));
   }

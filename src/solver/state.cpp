@@ -66,10 +66,10 @@ SolverState<Real, W>::SolverState(const mesh::TetMesh& externalMesh,
 
   // resize() leaves arena_vector pages untouched (FirstTouchAllocator); the
   // zero-fill below is the NUMA first-touch pass. Each cluster range is cut
-  // into the *same* cfg.numThreads static chunks the StepExecutor's element
-  // loops use (solver/threading.hpp), so every page is first touched — and
-  // therefore placed — on the memory node of the thread that later computes
-  // its elements.
+  // into cfg.numThreads chunks, one per team thread, so the pages of every
+  // cluster spread evenly over the memory nodes. It cannot pin a page to the
+  // thread that computes it: the StepExecutor's chunks are stolen, so which
+  // thread runs an element depends on timing (solver/threading.hpp).
   q_.resize(n * elSize_);
   b1_.resize(n * bufSize_);
   if (useB2_) b2_.resize(n * bufSize_);
@@ -96,10 +96,8 @@ SolverState<Real, W>::SolverState(const mesh::TetMesh& externalMesh,
     for (int_t c = 0; c < numClusters_; ++c) zeroRange(clusterBegin(c), clusterEnd(c));
     zeroRange(numOwned_, n); // halo suffix (filled from messages, never stepped)
   } else {
-    // Index-list fallback: chunk the internal index space directly — the
-    // executor's list chunks don't map to contiguous ranges here, so this
-    // layout only spreads pages, it cannot pin them to their computing
-    // thread (one more reason clusterReorder is the default).
+    // Index-list fallback: the clusters are not contiguous ranges here, so
+    // chunk the internal index space as a whole.
     zeroRange(0, n);
   }
 }

@@ -11,12 +11,11 @@
 // lists.
 //
 // All arenas are NUMA first-touch initialized by a parallel per-cluster
-// zero-fill pass (arena_vector's resize leaves pages untouched) that uses
-// the *same* static chunking as the executor's element loops
-// (solver/threading.hpp, SimConfig::numThreads): the thread that zeroes —
-// and thereby places — a cluster chunk's pages is the thread that computes
-// those elements every step, so the hot loops stream through node-local
-// memory.
+// zero-fill pass (arena_vector's resize leaves pages untouched), one chunk
+// per thread (solver/threading.hpp, SimConfig::numThreads): every cluster's
+// pages spread evenly over the memory nodes. The executor steals its chunks,
+// so which thread computes an element — and whether its pages are local —
+// depends on timing.
 //
 // External element ids (the mesh order the caller built sources, receivers
 // and tests against) are mapped to internal arena slots via

@@ -3,30 +3,23 @@
 //
 // The clustered LTS design exposes, per schedule op, one large contiguous
 // element range (the cluster's slice of the `SolverState` arena). The
-// executor streams that range across OpenMP threads in *static chunks*:
-// `staticChunk` maps a range and a configured thread count to the one
-// contiguous sub-range chunk `t` owns. The same map is used by
-//   * `StepExecutor`'s local/neighbor element loops (executor.cpp),
-//   * `SolverState`'s NUMA first-touch zero-fill pass (state.cpp), and
-//   * `WorkspacePool`'s per-thread scratch allocation (below),
-// so the pages an element's DOFs live on are first touched — and therefore
-// placed — by the thread that later computes that element.
+// executor cuts that range into `dynamicChunkCount(numThreads)` chunks with
+// the pure `staticChunk` map and lets the OpenMP team claim them through
+// `stealChunks`: each thread drains its own queue, then steals whole chunks
+// from its neighbors'. Chunks are the indivisible unit — each runs on one
+// (arbitrary) thread with its own workspace, in a fixed intra-chunk order —
+// so results are bitwise-identical for every thread count and every steal
+// timing; only the chunk→OS-thread binding depends on timing.
 //
-// Determinism: the chunk map depends only on (range, SimConfig::numThreads),
-// never on the OpenMP team the runtime actually delivers. `forEachChunk`
-// runs chunk t on team thread t and falls back to striding (or to a plain
-// serial loop without OpenMP) when the team is smaller, so results are
-// bitwise-identical for any machine state — each element is updated by
-// exactly one chunk, in a fixed intra-chunk order, with chunk-private
-// scratch.
+// `forEachChunk` (chunk t on team thread t) serves the set-up passes that
+// need no balancing: `SolverState`'s first-touch zero-fill (state.cpp) and
+// `WorkspacePool`'s per-chunk allocation (below). Since a stolen chunk may
+// run anywhere, first touch spreads the arena's pages over the memory nodes
+// rather than pinning each page to the thread that computes it.
 //
-// The dynamic executor mode (`--executor dynamic`, SimConfig::executorMode)
-// keeps that exact invariant while relaxing *placement*: the op is cut into
-// `dynamicChunkCount(numThreads)` chunks by the same pure `staticChunk` map
-// and `stealChunks` lets idle threads steal whole chunks. Chunks stay the
-// indivisible unit — each runs on one (arbitrary) thread with its own
-// workspace — so dynamic results are bitwise-identical to the static
-// reference; only the chunk→OS-thread binding is timing-dependent.
+// Determinism: every chunk map depends only on (range, SimConfig::numThreads),
+// never on the OpenMP team the runtime actually delivers — a smaller team
+// (or a build without OpenMP) runs the same chunks, just on fewer threads.
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -61,9 +54,8 @@ struct ChunkRange {
 
 /// The contiguous sub-range of [begin, end) owned by chunk `chunk` of
 /// `nChunks`: near-equal sizes, the first `n % nChunks` chunks one element
-/// longer. Pure function of its arguments — the executor's element loops
-/// and the state's first-touch pass call it with the same inputs and get
-/// the same element→thread map.
+/// longer. Pure function of its arguments — the chunk→element map never
+/// depends on which thread runs the chunk.
 inline ChunkRange staticChunk(idx_t begin, idx_t end, int_t nChunks, int_t chunk) {
   const idx_t n = end - begin;
   const idx_t base = n / nChunks;
@@ -90,16 +82,15 @@ void forEachChunk(int_t nChunks, Fn&& fn) {
 #endif
 }
 
-/// Chunks per configured thread the dynamic executor over-decomposes each
-/// op into. More chunks = finer stealing granularity (better balance on
-/// skewed per-element cost) but more scheduling overhead and a chunk map
-/// further from the arena's first-touch layout; 4 is the usual sweet spot
-/// for loops whose per-chunk cost varies by small integer factors.
+/// Chunks per configured thread the executor over-decomposes each op into.
+/// More chunks = finer stealing granularity (better balance on skewed
+/// per-element cost) but more scheduling overhead; 4 is the usual sweet
+/// spot for loops whose per-chunk cost varies by small integer factors.
 inline constexpr int_t kStealChunksPerThread = 4;
 
-/// Chunk count of the dynamic executor's chunk map for `nThreads`. Pure
-/// function: the map stays a function of (range, config), never of runtime
-/// thread timing — the bitwise-determinism invariant of `staticChunk`.
+/// Chunk count of the executor's chunk map (and its workspace count) for
+/// `nThreads`. Pure function: the map stays a function of (range, config),
+/// never of runtime thread timing — the bitwise-determinism invariant.
 inline int_t dynamicChunkCount(int_t nThreads) { return nThreads * kStealChunksPerThread; }
 
 /// One claim cursor per work-stealing queue, cache-line padded: owner and
@@ -109,14 +100,12 @@ struct alignas(kAlignment) StealCursor {
   std::atomic<idx_t> next{0};
 };
 
-/// Work-stealing execution of the chunk ids in `order`, each exactly once.
+/// Work-stealing execution of the chunk ids [0, nChunks), each exactly once.
 ///
 /// Queue q (one per configured thread, q in [0, nThreads)) holds the
-/// round-robin slice order[q], order[q + nThreads], order[q + 2*nThreads]...
-/// — so a priority prefix of `order` (halo-boundary chunks) lands at the
-/// front of *every* queue and is claimed first machine-wide. Each queue has
-/// a single atomic claim cursor: the owning thread drains its own queue
-/// with `fetch_add`, then turns thief and drains its neighbors' queues in
+/// round-robin slice q, q + nThreads, q + 2*nThreads, ... Each queue has a
+/// single atomic claim cursor: the owning thread drains its own queue with
+/// `fetch_add`, then turns thief and drains its neighbors' queues in
 /// deterministic victim order (q+1, q+2, ... mod nThreads) through the very
 /// same cursor. Every `fetch_add` yields a distinct slot, so each chunk is
 /// claimed by exactly one thread and runs as one indivisible unit — no
@@ -128,8 +117,7 @@ struct alignas(kAlignment) StealCursor {
 /// is off), ownerless queues are simply drained by thieves — the executed
 /// chunk set never changes.
 template <typename Fn>
-void stealChunks(const std::vector<int_t>& order, int_t nThreads, Fn&& fn) {
-  const idx_t nChunks = static_cast<idx_t>(order.size());
+void stealChunks(int_t nChunks, int_t nThreads, Fn&& fn) {
 #ifdef _OPENMP
   std::vector<StealCursor> cursor(nThreads);
 #pragma omp parallel num_threads(static_cast<int>(nThreads))
@@ -142,22 +130,23 @@ void stealChunks(const std::vector<int_t>& order, int_t nThreads, Fn&& fn) {
         // unique claims, and the parallel region's end barrier orders every
         // chunk's writes before any later read of them.
         const idx_t k = cursor[q].next.fetch_add(1, std::memory_order_relaxed);
-        const idx_t slot = q + k * nThreads;
-        if (slot >= nChunks) break;
-        fn(order[slot]);
+        const idx_t chunk = q + k * nThreads;
+        if (chunk >= nChunks) break;
+        fn(static_cast<int_t>(chunk));
       }
     }
   }
 #else
-  for (idx_t i = 0; i < nChunks; ++i) fn(order[i]);
+  (void)nThreads;
+  for (int_t c = 0; c < nChunks; ++c) fn(c);
 #endif
 }
 
 /// Everything one executor thread mutates outside the arena: the ADER
 /// kernel scratch, the receiver-element derivative stack, and the flop
-/// counter. One instance per chunk id, allocated by its owning thread (so
-/// scratch pages are NUMA-local too); the counter is cache-line aligned
-/// against false sharing on the per-element `+=`.
+/// counter. One instance per chunk id, whichever thread claims the chunk;
+/// the counter is cache-line aligned against false sharing on the
+/// per-element `+=`.
 template <typename Real, int W>
 struct ThreadWorkspace {
   typename kernels::AderKernels<Real, W>::Scratch scratch;
@@ -165,15 +154,14 @@ struct ThreadWorkspace {
   alignas(kAlignment) std::uint64_t flops = 0;
 };
 
-/// The per-thread workspace pool owned by the `StepExecutor` — the scratch
+/// The per-chunk workspace pool owned by the `StepExecutor` — the scratch
 /// buffers that used to be handed out ad hoc from `AderKernels` live here,
-/// one `ThreadWorkspace` per static chunk id.
+/// one `ThreadWorkspace` per chunk id.
 template <typename Real, int W>
 class WorkspacePool {
  public:
   /// `recStackSize` is `SolverState::stackSize()` (order x 9 x B x W).
-  /// `nChunks` is the executor's chunk count: numThreads for the static
-  /// mode, `dynamicChunkCount(numThreads)` for the work-stealing mode.
+  /// `nChunks` is the executor's chunk count, `dynamicChunkCount(numThreads)`.
   WorkspacePool(const kernels::AderKernels<Real, W>& kernels, std::size_t recStackSize,
                 int_t nChunks) {
     ws_.resize(nChunks);
@@ -200,8 +188,8 @@ class WorkspacePool {
   }
 
  private:
-  // unique_ptr per entry: each workspace is its own allocation made by the
-  // thread that will use it — no two threads share a cache line or a page.
+  // unique_ptr per entry: each workspace is its own allocation, so no two
+  // concurrently running chunks share a cache line or a page.
   std::vector<std::unique_ptr<ThreadWorkspace<Real, W>>> ws_;
 };
 

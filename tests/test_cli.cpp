@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
 #include <cmath>
+#include <cstdio>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cli/scenario.hpp"
@@ -16,6 +21,19 @@ namespace {
 nc::ScenarioRegistry& registry() {
   nc::registerBuiltinScenarios();
   return nc::ScenarioRegistry::instance();
+}
+
+/// Run the `nglts` driver binary with `args`; returns its exit code (-1 if
+/// it did not exit normally) and its merged stdout/stderr.
+std::pair<int, std::string> runDriver(const std::string& args) {
+  const std::string cmd = "'" + std::string(NGLTS_DRIVER) + "' " + args + " 2>&1";
+  FILE* pipe = popen(cmd.c_str(), "r");
+  if (!pipe) return {-1, "popen failed"};
+  std::string out;
+  char buf[256];
+  while (std::fgets(buf, sizeof buf, pipe)) out += buf;
+  const int status = pclose(pipe);
+  return {WIFEXITED(status) ? WEXITSTATUS(status) : -1, out};
 }
 
 } // namespace
@@ -64,7 +82,8 @@ TEST(Scenarios, EachConfiguresValidSimConfig) {
     EXPECT_GE(cfg.mechanisms, 0) << s->name();
     EXPECT_GT(cfg.cfl, 0.0) << s->name();
     EXPECT_GE(cfg.numClusters, 1) << s->name();
-    EXPECT_GE(cfg.lambda, 0.0) << s->name();
+    EXPECT_GT(cfg.lambda, 0.5) << s->name();
+    EXPECT_LE(cfg.lambda, 1.0) << s->name();
     EXPECT_GT(cfg.attenuationFreq, 0.0) << s->name();
   }
 }
@@ -106,11 +125,18 @@ TEST(Scenarios, OutOfRangeOverridesThrow) {
   bad = {};
   bad.numClusters = 0;
   EXPECT_THROW(s->resolveConfig(bad), std::invalid_argument);
-  bad = {};
-  bad.lambda = -1.0;
-  EXPECT_THROW(s->resolveConfig(bad), std::invalid_argument);
+  // lambda is valid in (0.5, 1] only — the range lts::buildClustering
+  // accepts; NaN must fail the same check instead of hanging the run.
+  for (const double lambda : {-1.0, 0.3, 0.5, 1.5, std::nan("")}) {
+    bad = {};
+    bad.lambda = lambda;
+    EXPECT_THROW(s->resolveConfig(bad), std::invalid_argument) << "lambda " << lambda;
+  }
   bad = {};
   bad.meshScale = 0.0;
+  EXPECT_THROW(s->resolveConfig(bad), std::invalid_argument);
+  bad = {};
+  bad.meshScale = std::numeric_limits<double>::infinity();
   EXPECT_THROW(s->resolveConfig(bad), std::invalid_argument);
   bad = {};
   bad.fusedWidth = 5;
@@ -118,6 +144,9 @@ TEST(Scenarios, OutOfRangeOverridesThrow) {
   EXPECT_THROW(s->run(bad), std::invalid_argument);
   bad = {};
   bad.endTime = std::nan("");
+  EXPECT_THROW(s->resolveConfig(bad), std::invalid_argument);
+  bad = {};
+  bad.endTime = std::numeric_limits<double>::infinity();
   EXPECT_THROW(s->resolveConfig(bad), std::invalid_argument);
   bad = {};
   bad.ranks = 0;
@@ -158,4 +187,27 @@ TEST(Scenarios, QuickstartRunsAndProducesFiniteSeismogram) {
   ASSERT_FALSE(report.trace.empty());
   for (double v : report.trace) EXPECT_TRUE(std::isfinite(v));
   EXPECT_FALSE(report.summary.empty());
+}
+
+TEST(Driver, RejectsOutOfRangeAndNonFiniteFlagsWithExit2) {
+  // Each bad value must be a usage error (exit 2) naming the flag — never a
+  // silent int32 wrap, an undefined llround(inf), a run that fails late or
+  // a NaN-driven hang. The small base run keeps a wrongly accepted value
+  // cheap.
+  const std::string base = "-q --scale 0.3 --order 2 --end-time 0.01 ";
+  const std::pair<const char*, const char*> cases[] = {
+      {"--threads 4294967297", "--threads"},
+      {"--order 4294967300", "--order"},
+      {"--threads 99999999999999999999", "--threads"},
+      {"--end-time inf", "--end-time"},
+      {"--scale inf", "--scale"},
+      {"--lambda nan", "--lambda"},
+      {"--lambda 0.3", "lambda"},
+      {"--lambda 1.5", "lambda"},
+  };
+  for (const auto& [flags, message] : cases) {
+    const auto [code, out] = runDriver(base + flags);
+    EXPECT_EQ(code, 2) << flags << "\n" << out;
+    EXPECT_NE(out.find(message), std::string::npos) << flags << "\n" << out;
+  }
 }

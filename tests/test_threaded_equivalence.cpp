@@ -1,20 +1,24 @@
-// Equivalence suite of the thread-parallel StepExecutor (ISSUE 4 tentpole):
-// for every scheme {gts, lts, baseline} x thread count {1, 2, 8} x fused
-// width {1, 2}, the threaded run must be *bitwise identical* to the
-// single-thread run — seismograms and DOFs. The executor cuts every
-// schedule op's cluster range into SimConfig::numThreads static chunks and
-// each element is updated by exactly one chunk with chunk-private scratch,
-// so no tolerance is needed; any drift is a chunking/workspace bug. Also
-// covered: the index-list layout (clusterReorder = false), the hybrid
-// ranks x threads distributed run vs the 1-rank 1-thread reference, and
-// the numThreads validation.
+// Equivalence suite of the thread-parallel StepExecutor: for every scheme
+// {gts, lts, baseline} x thread count {2, 8} x fused width {1, 2}, the
+// threaded run must be *bitwise identical* to the single-thread run —
+// seismograms, DOFs and exact flop totals. The executor cuts every schedule
+// op into `dynamicChunkCount(numThreads)` chunks of a pure chunk map and
+// work-steals them whole; each element is updated by exactly one chunk with
+// chunk-private scratch, so steal timing can never change a result and no
+// tolerance is needed — any drift is a chunking/workspace bug. Also
+// covered: the index-list layout (clusterReorder = false), adversarial steal
+// timings injected through the executor's chunk-delay seam, the hybrid
+// ranks x threads distributed run (lockstep and overlapped exchange) vs the
+// 1-rank 1-thread reference, the steal scheduler's chunk-indivisibility
+// property, and the numThreads validation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
-#include <numeric>
 #include <random>
+#include <thread>
 #include <tuple>
 
 #include "mesh/box_gen.hpp"
@@ -117,7 +121,8 @@ void expectBitwiseDofs(const SimA& a, const SimB& b, idx_t numElements, std::siz
 }
 
 /// 1-thread reference vs `threads`-thread run of the same Simulation:
-/// bitwise seismograms and DOFs.
+/// bitwise seismograms and DOFs, and exact flop parity (the per-chunk
+/// uint64 counters sum to the same total whichever thread ran which chunk).
 template <int W>
 void runThreadEquivalence(ns::TimeScheme scheme, int_t threads, int_t mechanisms,
                           bool clusterReorder = true) {
@@ -129,15 +134,18 @@ void runThreadEquivalence(ns::TimeScheme scheme, int_t threads, int_t mechanisms
   ns::Simulation<double, W> ref(f.mesh, f.mats, refCfg);
   addSetup<ns::Simulation<double, W>, W>(ref);
   ref.setInitialCondition(initWave);
-  ref.run(tEnd);
+  const ns::PerfStats stRef = ref.run(tEnd);
 
   ns::SimConfig thrCfg = makeCfg(scheme, mechanisms, threads);
   thrCfg.clusterReorder = clusterReorder;
   ns::Simulation<double, W> thr(f.mesh, f.mats, thrCfg);
   addSetup<ns::Simulation<double, W>, W>(thr);
   thr.setInitialCondition(initWave);
-  thr.run(tEnd);
+  const ns::PerfStats stThr = thr.run(tEnd);
 
+  EXPECT_EQ(stRef.cycles, stThr.cycles);
+  EXPECT_EQ(stRef.elementUpdates, stThr.elementUpdates);
+  EXPECT_EQ(stRef.flops, stThr.flops) << "flop totals must match exactly";
   expectBitwiseSeismograms(ref, thr, W);
   expectBitwiseDofs(ref, thr, f.mesh.numElements(), ref.kernels().dofsPerElement());
 }
@@ -183,14 +191,53 @@ TEST(ThreadedEquivalenceExtra, IndexListLayoutBitwiseVsSingleThread) {
 }
 
 TEST(ThreadedEquivalenceExtra, ThreadsExceedingElementsBitwise) {
-  // More chunks than some cluster has elements: empty chunks must be
-  // harmless (staticChunk yields empty ranges) and the result bitwise.
+  // 64 threads -> 256 chunks over clusters far smaller than that: empty
+  // chunks (staticChunk yields empty ranges) and all-thief queues must be
+  // harmless and the result bitwise.
   runThreadEquivalence<1>(ns::TimeScheme::kLtsNextGen, 64, /*mechanisms=*/0);
+}
+
+TEST(ThreadedEquivalenceStress, RandomizedStealTimingStaysBitwise) {
+  // Adversarial steal timing: a per-chunk delay injected through the
+  // executor's test seam perturbs which thread wins each claim race, across
+  // N repeats with different pseudo-random delay patterns and thread
+  // counts. Every repeat must reproduce the 1-thread reference bit for bit.
+  const int_t kRepeats = 6;
+  const std::uint64_t kCycles = 3;
+  Fixture f = makeFixture(/*mechanisms=*/0);
+
+  ns::Simulation<double, 1> ref(f.mesh, f.mats, makeCfg(ns::TimeScheme::kLtsNextGen, 0, 1));
+  addSetup<ns::Simulation<double, 1>, 1>(ref);
+  ref.setInitialCondition(initWave);
+  const ns::PerfStats stRef = ref.runCycles(kCycles);
+
+  for (int_t rep = 0; rep < kRepeats; ++rep) {
+    const int_t threads = 2 + rep % 7;
+    ns::Simulation<double, 1> thr(f.mesh, f.mats,
+                                  makeCfg(ns::TimeScheme::kLtsNextGen, 0, threads));
+    addSetup<ns::Simulation<double, 1>, 1>(thr);
+    thr.setInitialCondition(initWave);
+    // Stateless mixing of (repeat, chunk) into a 0..120 us sleep: the hook
+    // runs concurrently on all threads, so it must not share mutable state.
+    thr.setChunkDelayHook([rep](int_t chunk) {
+      std::uint64_t h = static_cast<std::uint64_t>(chunk) * 0x9e3779b97f4a7c15ULL +
+                        static_cast<std::uint64_t>(rep) * 0xbf58476d1ce4e5b9ULL;
+      h ^= h >> 31;
+      std::this_thread::sleep_for(std::chrono::microseconds(h % 121));
+    });
+    const ns::PerfStats stThr = thr.runCycles(kCycles);
+
+    EXPECT_EQ(stRef.flops, stThr.flops) << "repeat " << rep;
+    expectBitwiseSeismograms(ref, thr, 1);
+    expectBitwiseDofs(ref, thr, f.mesh.numElements(), ref.kernels().dofsPerElement());
+  }
 }
 
 TEST(ThreadedEquivalenceExtra, HybridRanksTimesThreadsBitwiseVs1x1) {
   // The executor's OpenMP teams nested inside ThreadComm rank threads
-  // (--ranks x --threads) vs the 1-rank 1-thread shared-memory reference.
+  // (--ranks x --threads) vs the 1-rank 1-thread shared-memory reference,
+  // with the lockstep exchange and with --overlap (each op split into a
+  // halo-boundary and an interior subset run, both multi-threaded).
   const double tEnd = 0.2;
   Fixture f = makeFixture(/*mechanisms=*/0);
 
@@ -202,17 +249,21 @@ TEST(ThreadedEquivalenceExtra, HybridRanksTimesThreadsBitwiseVs1x1) {
   std::vector<int_t> part(f.mesh.numElements());
   for (idx_t e = 0; e < f.mesh.numElements(); ++e)
     part[e] = f.mesh.centroid(e)[0] < 500.0 ? 0 : 1;
-  npar::DistConfig dcfg;
-  dcfg.sim = makeCfg(ns::TimeScheme::kLtsNextGen, 0, /*threads=*/2);
-  dcfg.threaded = true; // rank std::threads, each forking a 2-thread team
-  npar::DistributedSimulation<double, 1> dist(f.mesh, f.mats, part, dcfg);
-  ASSERT_EQ(dist.ranks(), 2);
-  addSetup<npar::DistributedSimulation<double, 1>, 1>(dist);
-  dist.setInitialCondition(initWave);
-  dist.run(tEnd);
+  for (const bool overlap : {false, true}) {
+    SCOPED_TRACE(overlap ? "overlap" : "lockstep");
+    npar::DistConfig dcfg;
+    dcfg.sim = makeCfg(ns::TimeScheme::kLtsNextGen, 0, /*threads=*/2);
+    dcfg.transport = npar::Transport::kThread; // rank threads, each with a 2-thread team
+    dcfg.overlap = overlap;
+    npar::DistributedSimulation<double, 1> dist(f.mesh, f.mats, part, dcfg);
+    ASSERT_EQ(dist.ranks(), 2);
+    addSetup<npar::DistributedSimulation<double, 1>, 1>(dist);
+    dist.setInitialCondition(initWave);
+    dist.run(tEnd);
 
-  expectBitwiseSeismograms(ref, dist, 1);
-  expectBitwiseDofs(ref, dist, f.mesh.numElements(), ref.kernels().dofsPerElement());
+    expectBitwiseSeismograms(ref, dist, 1);
+    expectBitwiseDofs(ref, dist, f.mesh.numElements(), ref.kernels().dofsPerElement());
+  }
 }
 
 TEST(ThreadedConfig, RejectsNonPositiveThreadCounts) {
@@ -226,23 +277,38 @@ TEST(ThreadedConfig, RejectsNonPositiveThreadCounts) {
   EXPECT_NO_THROW(ns::validateSimConfig(cfg));
 }
 
+TEST(ThreadedConfig, ChunkIdsCoverEveryWorkspace) {
+  // Every op is cut into exactly dynamicChunkCount(numThreads) chunks and
+  // chunk c runs with workspace c: one cycle must deliver each chunk id in
+  // [0, dynamicChunkCount(3)) to the delay seam, and no other.
+  Fixture f = makeFixture(0, /*n=*/2);
+  const int_t threads = 3;
+  const int_t nChunks = ns::dynamicChunkCount(threads);
+  EXPECT_EQ(nChunks, threads * ns::kStealChunksPerThread);
+  ns::Simulation<double, 1> sim(f.mesh, f.mats, makeCfg(ns::TimeScheme::kGts, 0, threads));
+  std::vector<std::atomic<int>> seen(nChunks + 1);
+  sim.setChunkDelayHook([&](int_t chunk) {
+    seen[chunk >= 0 && chunk < nChunks ? chunk : nChunks].fetch_add(1);
+  });
+  sim.runCycles(1);
+  for (int_t c = 0; c < nChunks; ++c) EXPECT_GT(seen[c].load(), 0) << "chunk " << c;
+  EXPECT_EQ(seen[nChunks].load(), 0) << "chunk id out of the workspace range";
+}
+
 TEST(ThreadedConfig, DynamicStealPermutesChunksButNeverSplitsOne) {
   // Chunk-indivisibility property of the work-stealing scheduler: for random
-  // (range, numThreads) and a random priority order, `stealChunks` may run
-  // the chunks in any sequence, but every chunk id is delivered to `fn`
-  // exactly once (never split across threads, never run twice), every
-  // element of the range is covered exactly once, and a synthetic per-op
-  // flop count accumulated in per-chunk counters matches the serial sum
-  // exactly — the same argument that keeps the dynamic executor bitwise.
+  // (range, numThreads), `stealChunks` may run the chunks in any sequence,
+  // but every chunk id is delivered to `fn` exactly once (never split across
+  // threads, never run twice), every element of the range is covered exactly
+  // once, and a synthetic per-op flop count accumulated in per-chunk
+  // counters matches the serial sum exactly — the same argument that keeps
+  // the executor bitwise.
   std::mt19937 rng(987654u);
   for (int_t iter = 0; iter < 30; ++iter) {
     const idx_t begin = static_cast<idx_t>(rng() % 64);
     const idx_t n = static_cast<idx_t>(rng() % 1500);
     const int_t threads = 1 + static_cast<int_t>(rng() % 16);
     const int_t nChunks = ns::dynamicChunkCount(threads);
-    std::vector<int_t> order(nChunks);
-    std::iota(order.begin(), order.end(), 0);
-    std::shuffle(order.begin(), order.end(), rng);
 
     auto flopOf = [](idx_t el) {
       return static_cast<std::uint64_t>(el) * 2654435761u + 17u;
@@ -254,7 +320,7 @@ TEST(ThreadedConfig, DynamicStealPermutesChunksButNeverSplitsOne) {
     std::vector<int_t> execOrder(nChunks, -1);
     std::atomic<int_t> execPos{0};
 
-    ns::stealChunks(order, threads, [&](int_t c) {
+    ns::stealChunks(nChunks, threads, [&](int_t c) {
       execOrder[execPos.fetch_add(1)] = c;
       runs[c].fetch_add(1);
       const ns::ChunkRange r = ns::staticChunk(begin, begin + n, nChunks, c);
