@@ -16,15 +16,17 @@
 // gate is specialized >= vector on those CSR star/right rows. All backends
 // produce bitwise-identical results — these rows measure throughput only.
 //
-// The JSON context records the resolved ISA ("kernel_isa") and precision
-// ("precision": kernel_micro measures the f32 kernels, the precision the
-// fused production runs use; f64 solver rows come from the scenario
-// benches via NGLTS_PRECISION) so every row is attributable.
+// The JSON context records the resolved ISA ("kernel_isa"); each row's
+// <Real, W> template arguments name its precision and fused width. Most
+// rows measure f32, the precision the fused production runs use; the f64
+// W = 1 rows sit at the single-forward-run shape of the benchmark's
+// lts_forward workload (order 4, 3 mechanisms, dense image).
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <random>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "basis/global_matrices.hpp"
@@ -54,6 +56,7 @@ struct Fixture {
   std::vector<mesh::ElementGeometry> geo;
   std::vector<physics::Material> mats;
   std::vector<kernels::ElementData<float>> ed;
+  std::vector<kernels::ElementData<double>> edF64;
 
   explicit Fixture(int_t mechanisms) {
     mesh::BoxSpec spec;
@@ -69,6 +72,15 @@ struct Fixture {
                        : physics::elasticMaterial(2600, 4000, 2000);
     mats.assign(mesh.numElements(), m);
     ed = kernels::buildAllElementData<float>(mesh, geo, mats, mechanisms);
+    edF64 = kernels::buildAllElementData<double>(mesh, geo, mats, mechanisms);
+  }
+
+  template <typename Real>
+  const kernels::ElementData<Real>& element0() const {
+    if constexpr (std::is_same_v<Real, double>)
+      return edF64[0];
+    else
+      return ed[0];
   }
 };
 
@@ -78,24 +90,25 @@ Fixture& fixture(int_t mechs) {
   return mechs ? anelastic : elastic;
 }
 
-template <int W>
+template <typename Real, int W>
 void localUpdate(benchmark::State& state) {
   const int_t order = state.range(0);
   const bool sparse = state.range(1);
   const int_t mechs = state.range(2);
   auto& f = fixture(mechs);
-  kernels::AderKernels<float, W> kern(order, mechs, sparse, f.mats[0].omega,
-                                      backendArg(state, 3));
+  const auto& ed = f.element0<Real>();
+  kernels::AderKernels<Real, W> kern(order, mechs, sparse, f.mats[0].omega,
+                                     backendArg(state, 3));
   auto s = kern.makeScratch();
-  aligned_vector<float> q(kern.dofsPerElement()), b1(kern.elasticDofsPerElement());
+  aligned_vector<Real> q(kern.dofsPerElement()), b1(kern.elasticDofsPerElement());
   std::mt19937 rng(1);
-  std::uniform_real_distribution<float> uni(-1, 1);
+  std::uniform_real_distribution<Real> uni(-1, 1);
   for (auto& v : q) v = uni(rng);
   std::uint64_t flops = 0;
   for (auto _ : state) {
-    flops += kern.timePredict(f.ed[0], q.data(), 1e-3f, s.timeInt.data(), b1.data(), nullptr,
+    flops += kern.timePredict(ed, q.data(), Real(1e-3), s.timeInt.data(), b1.data(), nullptr,
                               nullptr, false, s);
-    flops += kern.volumeAndLocalSurface(f.ed[0], s.timeInt.data(), q.data(), s);
+    flops += kern.volumeAndLocalSurface(ed, s.timeInt.data(), q.data(), s);
     benchmark::DoNotOptimize(q.data());
   }
   state.counters["GFLOPS"] = benchmark::Counter(static_cast<double>(flops) * 1e-9,
@@ -105,21 +118,22 @@ void localUpdate(benchmark::State& state) {
                          benchmark::Counter::kIsRate);
 }
 
-template <int W>
+template <typename Real, int W>
 void neighborUpdate(benchmark::State& state) {
   const int_t order = state.range(0);
   const bool sparse = state.range(1);
   auto& f = fixture(3);
-  kernels::AderKernels<float, W> kern(order, 3, sparse, f.mats[0].omega,
-                                      backendArg(state, 2));
+  kernels::AderKernels<Real, W> kern(order, 3, sparse, f.mats[0].omega,
+                                     backendArg(state, 2));
   auto s = kern.makeScratch();
-  aligned_vector<float> q(kern.dofsPerElement()), nb(kern.elasticDofsPerElement());
+  aligned_vector<Real> q(kern.dofsPerElement()), nb(kern.elasticDofsPerElement());
   std::mt19937 rng(2);
-  std::uniform_real_distribution<float> uni(-1, 1);
+  std::uniform_real_distribution<Real> uni(-1, 1);
   for (auto& v : nb) v = uni(rng);
   const auto& fi = f.mesh.faces[0][0];
   for (auto _ : state) {
-    kern.neighborContribution(f.ed[0], 0, fi.neighborFace, fi.perm, nb.data(), q.data(), s);
+    kern.neighborContribution(f.element0<Real>(), 0, fi.neighborFace, fi.perm, nb.data(),
+                              q.data(), s);
     benchmark::DoNotOptimize(q.data());
   }
 }
@@ -271,21 +285,29 @@ void smallGemmRightCsr(benchmark::State& state) {
 
 } // namespace
 
-BENCHMARK(localUpdate<1>)
+BENCHMARK_TEMPLATE(localUpdate, float, 1)
     ->ArgsProduct({{3, 4, 5}, {0, 1}, {0, 3}, {0, 1}})
     ->ArgNames({"order", "sparse", "mechs", "backend"});
-BENCHMARK(localUpdate<16>)
+// The f64 W = 1 rows sit at the lts_forward shape (order 4, 3 mechanisms,
+// dense image): the single forward run of the benchmark.
+BENCHMARK_TEMPLATE(localUpdate, double, 1)
+    ->ArgsProduct({{4}, {0}, {3}, {0, 1}})
+    ->ArgNames({"order", "sparse", "mechs", "backend"});
+BENCHMARK_TEMPLATE(localUpdate, float, 16)
     ->ArgsProduct({{3, 4, 5}, {1}, {3}, {0, 1}})
     ->ArgNames({"order", "sparse", "mechs", "backend"});
 // Specialized ADER rows only where the stiffness patterns are registered
 // (orders 3/4; order 5 would silently measure the per-operator fallback).
-BENCHMARK(localUpdate<16>)
+BENCHMARK_TEMPLATE(localUpdate, float, 16)
     ->ArgsProduct({{3, 4}, {1}, {3}, {2}})
     ->ArgNames({"order", "sparse", "mechs", "backend"});
-BENCHMARK(neighborUpdate<1>)
+BENCHMARK_TEMPLATE(neighborUpdate, float, 1)
     ->ArgsProduct({{3, 4, 5}, {0, 1}, {0, 1}})
     ->ArgNames({"order", "sparse", "backend"});
-BENCHMARK(neighborUpdate<16>)
+BENCHMARK_TEMPLATE(neighborUpdate, double, 1)
+    ->ArgsProduct({{4}, {0}, {0, 1}})
+    ->ArgNames({"order", "sparse", "backend"});
+BENCHMARK_TEMPLATE(neighborUpdate, float, 16)
     ->ArgsProduct({{4}, {1}, {0, 1, 2}})
     ->ArgNames({"order", "sparse", "backend"});
 BENCHMARK(compress)->ArgsProduct({{4, 5}, {0, 1}})->ArgNames({"order", "backend"});
@@ -296,6 +318,9 @@ BENCHMARK(compress)->ArgsProduct({{4, 5}, {0, 1}})->ArgNames({"order", "backend"
 // <double, 4> vs <float, 4> pairs are the fp32-vs-f64 throughput A/B).
 BENCHMARK_TEMPLATE(smallGemmStarDense, float, 1)
     ->ArgsProduct({{4, 5}, {0, 1}})
+    ->ArgNames({"order", "backend"});
+BENCHMARK_TEMPLATE(smallGemmStarDense, double, 1)
+    ->ArgsProduct({{4}, {0, 1}})
     ->ArgNames({"order", "backend"});
 BENCHMARK_TEMPLATE(smallGemmStarDense, float, 4)
     ->ArgsProduct({{4, 5}, {0, 1}})
@@ -323,6 +348,9 @@ BENCHMARK_TEMPLATE(smallGemmStarCsr, double, 4)
 BENCHMARK_TEMPLATE(smallGemmRightDense, float, 1)
     ->ArgsProduct({{4, 5}, {0, 1}})
     ->ArgNames({"order", "backend"});
+BENCHMARK_TEMPLATE(smallGemmRightDense, double, 1)
+    ->ArgsProduct({{4}, {0, 1}})
+    ->ArgNames({"order", "backend"});
 BENCHMARK_TEMPLATE(smallGemmRightDense, float, 4)
     ->ArgsProduct({{4, 5}, {0, 1}})
     ->ArgNames({"order", "backend"});
@@ -347,19 +375,23 @@ BENCHMARK_TEMPLATE(smallGemmRightCsr, double, 4)
     ->ArgNames({"order", "backend"});
 
 // BENCHMARK_MAIN with a default JSON artifact: unless the caller passes its
-// own --benchmark_out, results also land in BENCH_kernel.json (the
-// machine-readable perf trajectory consumed by bench/run_benches.sh).
+// own --benchmark_out, results of a full run also land in BENCH_kernel.json
+// (the machine-readable perf trajectory consumed by bench/run_benches.sh).
+// Listing or filtered runs leave the artifact alone: either would truncate
+// it to nothing or to a subset of its rows.
 int main(int argc, char** argv) {
   std::vector<char*> args(argv, argv + argc);
-  bool hasOut = false, hasFmt = false;
+  bool skipArtifact = false, hasFmt = false;
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
-    if (a.rfind("--benchmark_out=", 0) == 0) hasOut = true;
+    if (a.rfind("--benchmark_out=", 0) == 0 || a.rfind("--benchmark_list_tests", 0) == 0 ||
+        a.rfind("--benchmark_filter", 0) == 0)
+      skipArtifact = true;
     if (a.rfind("--benchmark_out_format", 0) == 0) hasFmt = true;
   }
   static std::string outFlag = "--benchmark_out=BENCH_kernel.json";
   static std::string fmtFlag = "--benchmark_out_format=json";
-  if (!hasOut) {
+  if (!skipArtifact) {
     args.push_back(outFlag.data());
     if (!hasFmt) args.push_back(fmtFlag.data());
   }
@@ -375,6 +407,6 @@ int main(int argc, char** argv) {
       linalg::resolvedKernelBackendLabel(linalg::KernelBackend::kAuto));
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  if (!hasOut) std::printf("wrote BENCH_kernel.json\n");
+  if (!skipArtifact) std::printf("wrote BENCH_kernel.json\n");
   return 0;
 }

@@ -99,6 +99,16 @@ class Reader {
     std::memcpy(&v, &bits, sizeof v);
     return v;
   }
+  /// Bytes left to read (the checksum trailer included).
+  std::size_t remaining() const { return buf_.size() - pos_; }
+  /// Reject a `count` read from the file whose `bytesPer`-byte records
+  /// cannot fit in the rest of it — before anything is allocated for them.
+  void requireFits(std::uint64_t count, std::size_t bytesPer, const char* field) const {
+    if (count > remaining() / bytesPer)
+      throw std::runtime_error("snapshot '" + path_ + "' " + field + " " +
+                               std::to_string(count) + " exceeds the " +
+                               std::to_string(remaining()) + " bytes left in the file");
+  }
 
  private:
   const std::vector<unsigned char>& buf_;
@@ -275,10 +285,17 @@ SnapshotInfo loadSnapshot(const std::string& path, solver::Simulation<Real, W>& 
                              "' does not match this simulation's arena layout "
                              "(different mesh, scheme or configuration)");
 
+  // Counts from the file are checked before they size an allocation: a
+  // checksum-valid crafted snapshot must not allocate gigabytes.
   const auto numSteps = r.u64();
+  const std::size_t numClusters = sim.clusterSteps().size();
+  if (numSteps != numClusters)
+    throw std::runtime_error("snapshot '" + path + "' cluster step count " +
+                             std::to_string(numSteps) + " does not match this simulation's " +
+                             std::to_string(numClusters) + " clusters");
   std::vector<idx_t> steps(numSteps);
   for (auto& s : steps) s = static_cast<idx_t>(r.u64());
-  sim.restoreClusterSteps(steps); // throws on a cluster-count mismatch
+  sim.restoreClusterSteps(steps);
 
   r.bytes(st.q(0), static_cast<std::size_t>(n) * elSize * sizeof(Real));
   r.bytes(st.b1(0), static_cast<std::size_t>(n) * bufSize * sizeof(Real));
@@ -299,6 +316,7 @@ SnapshotInfo loadSnapshot(const std::string& path, solver::Simulation<Real, W>& 
                                " lane count mismatch");
     for (auto& s : traces) {
       const auto samples = r.u64();
+      r.requireFits(samples, sizeof(double) * (1 + kElasticVars), "receiver sample count");
       s.times.resize(samples);
       s.values.resize(samples);
       for (auto& t : s.times) t = r.f64();

@@ -25,8 +25,8 @@
 // at lookup time via `detectCpuSimd`.
 //
 // W == 1 lookups return nullptr by design: the vector backend delegates
-// W == 1 GEMM shapes to the scalar reference (small_gemm_vector.hpp), and
-// the specialized backend keeps that choice.
+// the W == 1 CSR shapes to the scalar reference (small_gemm_vector.hpp),
+// and the specialized backend keeps that choice.
 #include <cstdint>
 
 #include "common/types.hpp"

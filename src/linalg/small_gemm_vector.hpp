@@ -34,11 +34,13 @@
 //
 // Width specialization: kernels are templated on the fused width W like the
 // scalar reference; W-blocks map onto vectors of min(W, native) lanes so
-// W = 2/4/8/16 runs stay W-fused in registers. The compile-time B/F block
+// W = 2/4/8/16 runs stay W-fused in registers; at W = 1 the lanes run along
+// the basis dimension instead (rightW1Chunk). The compile-time B/F block
 // sizes of the DG operators enter through the chunked row loops — chunk
 // widths are compile-time, only trip counts depend on the order.
 #include <cstdint>
 #include <cstring>
+#include <type_traits>
 
 #include "common/types.hpp"
 #include "linalg/csr.hpp"
@@ -119,10 +121,22 @@ NGLTS_VEC_INLINE void storeu(Real* p, const V& v) {
   __builtin_memcpy(p, &v, sizeof(V));
 }
 
+/// Broadcast through the scalar's bit pattern: OR-ing it into a zero
+/// integer vector of the same width compiles to one vpbroadcastq/d in
+/// every clone. A per-lane assignment loop instead became 8 (f64) or 16
+/// (f32) masked vbroadcasts{d,s} per splat inside the target("avx512f")
+/// clones. OR with zero is exact, so -0.0, NaN payloads and subnormals keep
+/// their bits.
 template <typename V, typename Real>
 NGLTS_VEC_INLINE V splat(Real s) {
+  using U = std::conditional_t<sizeof(Real) == 8, std::uint64_t, std::uint32_t>;
+  static_assert(sizeof(U) == sizeof(Real), "splat supports float and double lanes");
+  using VU = typename VecT<U, static_cast<int>(sizeof(V))>::type;
+  U bits;
+  __builtin_memcpy(&bits, &s, sizeof bits);
+  const VU vu = VU{} | bits;
   V v;
-  for (int i = 0; i < static_cast<int>(sizeof(V) / sizeof(Real)); ++i) v[i] = s;
+  __builtin_memcpy(&v, &vu, sizeof v);
   return v;
 }
 
@@ -193,31 +207,40 @@ struct VecKernels {
 
   NGLTS_VEC_INLINE static std::uint64_t starDense(int_t m, int_t k, int_t nCols, int_t ld,
                                                   const Real* a, const Real* d, Real* o) {
-    const int_t len = nCols * W;
-    const std::size_t stride = static_cast<std::size_t>(ld) * W;
-    const Real* src[kMaxStarTerms];
-    Real val[kMaxStarTerms];
-    for (int_t r = 0; r < m; ++r) {
-      Real* orow = o + static_cast<std::size_t>(r) * stride;
-      const Real* arow = a + static_cast<std::size_t>(r) * k;
-      // Longer rows than the list capacity take several passes over the
-      // output; term order (and bitwise behavior) is unchanged.
-      for (int_t c0 = 0; c0 < k; c0 += kMaxStarTerms) {
-        const int_t cEnd = c0 + kMaxStarTerms < k ? c0 + kMaxStarTerms : k;
-        int_t nnz = 0;
-        for (int_t c = c0; c < cEnd; ++c) {
-          if (arow[c] == Real(0)) continue; // static zero blocks, as in the reference
-          src[nnz] = d + static_cast<std::size_t>(c) * stride;
-          val[nnz++] = arow[c];
+    // At W = 1 the star shape *is* the right shape with the operands'
+    // roles swapped: O[r][j] += A[r][c] * D[c][j] is rightDense with A as
+    // the k-indexed operand (skipped at zero, as the reference skips
+    // A == 0) and D as the row-major matrix. Same term order, same skips,
+    // same flop count — and the register-blocked W = 1 kernel runs it.
+    if constexpr (W == 1) {
+      return rightDense(m, k, nCols, ld, a, d, o, k, ld);
+    } else {
+      const int_t len = nCols * W;
+      const std::size_t stride = static_cast<std::size_t>(ld) * W;
+      const Real* src[kMaxStarTerms];
+      Real val[kMaxStarTerms];
+      for (int_t r = 0; r < m; ++r) {
+        Real* orow = o + static_cast<std::size_t>(r) * stride;
+        const Real* arow = a + static_cast<std::size_t>(r) * k;
+        // Longer rows than the list capacity take several passes over the
+        // output; term order (and bitwise behavior) is unchanged.
+        for (int_t c0 = 0; c0 < k; c0 += kMaxStarTerms) {
+          const int_t cEnd = c0 + kMaxStarTerms < k ? c0 + kMaxStarTerms : k;
+          int_t nnz = 0;
+          for (int_t c = c0; c < cEnd; ++c) {
+            if (arow[c] == Real(0)) continue; // static zero blocks, as in the reference
+            src[nnz] = d + static_cast<std::size_t>(c) * stride;
+            val[nnz++] = arow[c];
+          }
+          // All-zero operator rows (e.g. the velocity rows of the anelastic
+          // coupling blocks): skip the row pass entirely — re-writing the
+          // row unchanged would be bitwise-neutral but wastes bandwidth the
+          // scalar reference doesn't spend.
+          if (nnz > 0) accumulateRow(orow, len, nnz, src, val);
         }
-        // All-zero operator rows (e.g. the velocity rows of the anelastic
-        // coupling blocks): skip the row pass entirely — re-writing the
-        // row unchanged would be bitwise-neutral but wastes bandwidth the
-        // scalar reference doesn't spend.
-        if (nnz > 0) accumulateRow(orow, len, nnz, src, val);
       }
+      return 2ull * m * k * nCols * W;
     }
-    return 2ull * m * k * nCols * W;
   }
 
   NGLTS_VEC_INLINE static std::uint64_t starCsr(const Csr<Real>& a, int_t nCols, int_t ld,
@@ -266,13 +289,74 @@ struct VecKernels {
     return 2ull * a.nnz() * nCols * W;
   }
 
+  /// W = 1 right-multiply chunk: NVAR variables x NC vectors of LN lanes
+  /// (one column chunk of the output rows), held in registers across the
+  /// whole kEff loop. Each B row chunk is loaded once per kk and serves all
+  /// NVAR variables. Every output accumulates in the reference's order
+  /// (kk ascending) with its per-variable `d == 0` skip — bitwise-equal.
+  /// LN = 1 chunks are single-lane vectors, for the tail rule of V1.
+  template <int_t NVAR, int_t NC, int_t LN>
+  NGLTS_VEC_INLINE static void rightW1Chunk(int_t kEff, int_t ldb, const Real* d, int_t ldd,
+                                            const Real* b, Real* o, int_t ldo) {
+    using VC = typename VecT<Real, LN * static_cast<int>(sizeof(Real))>::type;
+    VC acc[NVAR][NC];
+    for (int_t ii = 0; ii < NVAR; ++ii)
+      for (int_t c = 0; c < NC; ++c)
+        acc[ii][c] = loadu<VC>(o + static_cast<std::size_t>(ii) * ldo + c * LN);
+    for (int_t kk = 0; kk < kEff; ++kk) {
+      const Real* brow = b + static_cast<std::size_t>(kk) * ldb;
+      VC bv[NC];
+      for (int_t c = 0; c < NC; ++c) bv[c] = loadu<VC>(brow + c * LN);
+      for (int_t ii = 0; ii < NVAR; ++ii) {
+        const Real dv = d[static_cast<std::size_t>(ii) * ldd + kk];
+        if (dv == Real(0)) continue; // the reference's per-variable skip
+        const VC dvv = splat<VC, Real>(dv);
+        for (int_t c = 0; c < NC; ++c) acc[ii][c] += dvv * bv[c];
+      }
+    }
+    for (int_t ii = 0; ii < NVAR; ++ii)
+      for (int_t c = 0; c < NC; ++c)
+        storeu(o + static_cast<std::size_t>(ii) * ldo + c * LN, acc[ii][c]);
+  }
+
+  /// Columns [n, nEff) of NVAR output rows in chunks of LN, LN/2, ..., 1
+  /// lanes: each width runs at most once, since what remains after a
+  /// chunk of LN is shorter than LN.
+  template <int_t NVAR, int_t LN>
+  NGLTS_VEC_INLINE static void rightW1Tail(int_t n, int_t kEff, int_t nEff, int_t ldb,
+                                           const Real* d, int_t ldd, const Real* b, Real* o,
+                                           int_t ldo) {
+    if (n + LN <= nEff) {
+      rightW1Chunk<NVAR, 1, LN>(kEff, ldb, d, ldd, b + n, o + n, ldo);
+      n += LN;
+    }
+    if constexpr (LN > 1) rightW1Tail<NVAR, LN / 2>(n, kEff, nEff, ldb, d, ldd, b, o, ldo);
+  }
+
+  template <int_t NVAR>
+  NGLTS_VEC_INLINE static void rightW1Rows(int_t kEff, int_t nEff, int_t ldb, const Real* d,
+                                           int_t ldd, const Real* b, Real* o, int_t ldo) {
+    int_t n = 0;
+    for (; n + 2 * VL <= nEff; n += 2 * VL)
+      rightW1Chunk<NVAR, 2, VL>(kEff, ldb, d, ldd, b + n, o + n, ldo);
+    rightW1Tail<NVAR, VL>(n, kEff, nEff, ldb, d, ldd, b, o, ldo);
+  }
+
   NGLTS_VEC_INLINE static std::uint64_t rightDense(int_t nVars, int_t kEff, int_t nEff,
                                                    int_t ldb, const Real* d, const Real* b,
                                                    Real* o, int_t ldd, int_t ldo) {
     if constexpr (W == 1) {
-      // Unreachable: the W == 1 entry points delegate to the scalar
-      // reference (see below).
-      return rightMulDense<Real, 1>(nVars, kEff, nEff, ldb, d, b, o, ldd, ldo);
+      // Register-block IB variables x one column chunk (2 VL, then VL,
+      // VL/2, ..., 1 lanes): the scalar reference loads, updates and
+      // stores its whole output row once per kk term instead.
+      constexpr int_t IB = 3;
+      int_t i0 = 0;
+      for (; i0 + IB <= nVars; i0 += IB)
+        rightW1Rows<IB>(kEff, nEff, ldb, d + static_cast<std::size_t>(i0) * ldd, ldd, b,
+                        o + static_cast<std::size_t>(i0) * ldo, ldo);
+      for (; i0 < nVars; ++i0)
+        rightW1Rows<1>(kEff, nEff, ldb, d + static_cast<std::size_t>(i0) * ldd, ldd, b,
+                       o + static_cast<std::size_t>(i0) * ldo, ldo);
     } else {
       // Register-block IB variables x NB fused output columns across the
       // whole kEff loop: the output block and the IB variables' D entries
@@ -445,23 +529,21 @@ struct VecKernels {
 // operand shapes and accumulate semantics; flop returns are identical to
 // the scalar reference by construction).
 //
-// W == 1 GEMM shapes delegate to the scalar reference: without a fused
-// dimension the loops run over the long contiguous basis dimension, which
-// the reference's `omp simd` loops already vectorize optimally — explicit
-// lanes only add call and setup overhead there (measured in
-// bench/kernel_micro.cpp). This is a documented per-shape choice of the
-// vector backend, not a dispatch fallback (docs/KERNELS.md): the backend's
-// value is the fused W > 1 layouts, exactly the paper's Sec. IV-A claim.
+// At W == 1 both dense shapes run the register-blocked W = 1 kernel
+// (VecKernels::rightDense; the star shape maps onto it with the operands'
+// roles swapped). The scalar reference instead loads, updates and stores
+// its whole output row once per term, and the single forward run spends
+// most of its time in these two shapes. The W == 1 CSR shapes delegate to
+// the scalar reference: the right one is a pure scatter, and single runs
+// use the dense image. This is a documented per-shape choice of the
+// vector backend, not a dispatch fallback (docs/KERNELS.md).
 // ---------------------------------------------------------------------------
 
 template <typename Real, int W>
 std::uint64_t starMulDenseVec(int_t m, int_t k, int_t nCols, int_t ld, const Real* a,
                               const Real* d, Real* o) {
-  if constexpr (W == 1)
-    return starMulDense<Real, 1>(m, k, nCols, ld, a, d, o);
-  else
-    return vecdetail::VecKernels<Real, W, vecdetail::kBaseVecBytes>::starDense(m, k, nCols, ld,
-                                                                               a, d, o);
+  return vecdetail::VecKernels<Real, W, vecdetail::kBaseVecBytes>::starDense(m, k, nCols, ld, a,
+                                                                             d, o);
 }
 
 template <typename Real, int W>
@@ -476,11 +558,8 @@ std::uint64_t starMulCsrVec(const Csr<Real>& a, int_t nCols, int_t ld, const Rea
 template <typename Real, int W>
 std::uint64_t rightMulDenseVec(int_t nVars, int_t kEff, int_t nEff, int_t ldb, const Real* d,
                                const Real* b, Real* o, int_t ldd, int_t ldo) {
-  if constexpr (W == 1)
-    return rightMulDense<Real, 1>(nVars, kEff, nEff, ldb, d, b, o, ldd, ldo);
-  else
-    return vecdetail::VecKernels<Real, W, vecdetail::kBaseVecBytes>::rightDense(
-        nVars, kEff, nEff, ldb, d, b, o, ldd, ldo);
+  return vecdetail::VecKernels<Real, W, vecdetail::kBaseVecBytes>::rightDense(
+      nVars, kEff, nEff, ldb, d, b, o, ldd, ldo);
 }
 
 template <typename Real, int W>
@@ -515,10 +594,7 @@ void scaleCopyBlockVec(Real s, const Real* src, Real* dst, std::size_t n) {
 template <typename Real, int W>
 NGLTS_TARGET_AVX2 std::uint64_t starMulDenseVecAvx2(int_t m, int_t k, int_t nCols, int_t ld,
                                                     const Real* a, const Real* d, Real* o) {
-  if constexpr (W == 1)
-    return starMulDense<Real, 1>(m, k, nCols, ld, a, d, o);
-  else
-    return vecdetail::VecKernels<Real, W, 32>::starDense(m, k, nCols, ld, a, d, o);
+  return vecdetail::VecKernels<Real, W, 32>::starDense(m, k, nCols, ld, a, d, o);
 }
 
 template <typename Real, int W>
@@ -534,11 +610,8 @@ template <typename Real, int W>
 NGLTS_TARGET_AVX2 std::uint64_t rightMulDenseVecAvx2(int_t nVars, int_t kEff, int_t nEff,
                                                      int_t ldb, const Real* d, const Real* b,
                                                      Real* o, int_t ldd, int_t ldo) {
-  if constexpr (W == 1)
-    return rightMulDense<Real, 1>(nVars, kEff, nEff, ldb, d, b, o, ldd, ldo);
-  else
-    return vecdetail::VecKernels<Real, W, 32>::rightDense(nVars, kEff, nEff, ldb, d, b, o, ldd,
-                                                          ldo);
+  return vecdetail::VecKernels<Real, W, 32>::rightDense(nVars, kEff, nEff, ldb, d, b, o, ldd,
+                                                        ldo);
 }
 
 template <typename Real, int W>
@@ -578,10 +651,7 @@ template <typename Real, int W>
 NGLTS_TARGET_AVX512 std::uint64_t starMulDenseVecAvx512(int_t m, int_t k, int_t nCols,
                                                         int_t ld, const Real* a, const Real* d,
                                                         Real* o) {
-  if constexpr (W == 1)
-    return starMulDense<Real, 1>(m, k, nCols, ld, a, d, o);
-  else
-    return vecdetail::VecKernels<Real, W, 64>::starDense(m, k, nCols, ld, a, d, o);
+  return vecdetail::VecKernels<Real, W, 64>::starDense(m, k, nCols, ld, a, d, o);
 }
 
 template <typename Real, int W>
@@ -598,11 +668,8 @@ NGLTS_TARGET_AVX512 std::uint64_t rightMulDenseVecAvx512(int_t nVars, int_t kEff
                                                          int_t ldb, const Real* d,
                                                          const Real* b, Real* o, int_t ldd,
                                                          int_t ldo) {
-  if constexpr (W == 1)
-    return rightMulDense<Real, 1>(nVars, kEff, nEff, ldb, d, b, o, ldd, ldo);
-  else
-    return vecdetail::VecKernels<Real, W, 64>::rightDense(nVars, kEff, nEff, ldb, d, b, o, ldd,
-                                                          ldo);
+  return vecdetail::VecKernels<Real, W, 64>::rightDense(nVars, kEff, nEff, ldb, d, b, o, ldd,
+                                                        ldo);
 }
 
 template <typename Real, int W>

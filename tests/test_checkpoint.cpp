@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "batch/batch_engine.hpp"
@@ -359,17 +360,60 @@ std::uint64_t fnv1aOf(const std::vector<char>& p, std::size_t n) {
   return h;
 }
 
+/// Replace the FNV-1a trailer of an edited snapshot with a fresh one.
+std::vector<char> reseal(std::vector<char> bytes) {
+  bytes.resize(bytes.size() - 8); // drop the stale checksum trailer
+  const std::uint64_t sum = fnv1aOf(bytes, bytes.size());
+  for (int i = 0; i < 8; ++i)
+    bytes.push_back(static_cast<char>((sum >> (8 * i)) & 0xff));
+  return bytes;
+}
+
 /// Rewrite a v2 snapshot as the byte-exact v1 format the f64-only builds
 /// wrote: version 1 at offset 8, no precision u32 (offset 24..28 in v2),
 /// fresh FNV-1a trailer.
 std::vector<char> downgradeToV1(std::vector<char> v2) {
   v2[8] = 1;
   v2.erase(v2.begin() + 24, v2.begin() + 28);
-  v2.resize(v2.size() - 8); // drop the stale checksum trailer
-  const std::uint64_t sum = fnv1aOf(v2, v2.size());
+  return reseal(std::move(v2));
+}
+
+std::uint64_t getU64(const std::vector<char>& b, std::size_t off) {
+  std::uint64_t v = 0;
   for (int i = 0; i < 8; ++i)
-    v2.push_back(static_cast<char>((sum >> (8 * i)) & 0xff));
-  return v2;
+    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(b[off + i])) << (8 * i);
+  return v;
+}
+
+void putU64(std::vector<char>& b, std::size_t off, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) b[off + i] = static_cast<char>((v >> (8 * i)) & 0xff);
+}
+
+std::uint32_t getU32(const std::vector<char>& b, std::size_t off) {
+  std::uint32_t v = 0;
+  for (int i = 0; i < 4; ++i)
+    v |= static_cast<std::uint32_t>(static_cast<unsigned char>(b[off + i])) << (8 * i);
+  return v;
+}
+
+// Byte offsets of the state block in a v2+ snapshot: the 52-byte header
+// (magic, 5 u32, 3 u64), then n, elSize, bufSize, stackSize (u64 each),
+// three u32 arena flags, and the cluster step count.
+constexpr std::size_t kStateOffset = 52;
+constexpr std::size_t kNumStepsOffset = kStateOffset + 4 * 8 + 3 * 4;
+
+/// Offset of the first receiver lane's sample count in an f64 snapshot.
+std::size_t firstSampleCountOffset(const std::vector<char>& b) {
+  const std::uint64_t n = getU64(b, kStateOffset);
+  const std::uint64_t elSize = getU64(b, kStateOffset + 8);
+  const std::uint64_t bufSize = getU64(b, kStateOffset + 16);
+  const std::uint64_t stackSize = getU64(b, kStateOffset + 24);
+  const std::uint64_t bufs = 1 + getU32(b, kStateOffset + 32) + getU32(b, kStateOffset + 36);
+  const std::uint64_t stacks = getU32(b, kStateOffset + 40);
+  const std::uint64_t numSteps = getU64(b, kNumStepsOffset);
+  const std::uint64_t arenaBytes = n * (elSize + bufs * bufSize + stacks * stackSize) * 8;
+  // steps, arenas, then the receiver count and the first lane count
+  return kNumStepsOffset + 8 + numSteps * 8 + arenaBytes + 8 + 8;
 }
 
 } // namespace
@@ -393,6 +437,34 @@ TEST_F(SnapshotDamage, V1SnapshotLoadsInferringF64) {
   auto sim = fx_->makeSim<1>();
   const nbatch::SnapshotInfo info = nbatch::loadSnapshot(path_, *sim);
   EXPECT_EQ(info.cyclesDone, 2u); // the state block parsed at the v1 offset
+}
+
+// Counts in a checksum-valid snapshot are still untrusted: a crafted one
+// must fail with a message naming the field, before anything is allocated
+// for it (no length_error, no bad_alloc, no gigabyte allocation).
+TEST_F(SnapshotDamage, CraftedClusterStepCountIsRejected) {
+  ASSERT_EQ(getU64(bytes_, kNumStepsOffset), 3u) << "layout drifted: fix kNumStepsOffset";
+  for (const std::uint64_t bogus : {std::uint64_t(1) << 60, std::uint64_t(4)}) {
+    auto crafted = bytes_;
+    putU64(crafted, kNumStepsOffset, bogus);
+    writeAll(path_, reseal(crafted));
+    expectLoadError("cluster step count");
+  }
+}
+
+TEST_F(SnapshotDamage, CraftedReceiverSampleCountIsRejected) {
+  const std::size_t off = firstSampleCountOffset(bytes_);
+  ASSERT_LT(off + 8, bytes_.size());
+  const std::uint64_t samples = getU64(bytes_, off);
+  // the honest count accounts for the rest of the file exactly
+  ASSERT_EQ(off + 8 + samples * 8 * (1 + nglts::kElasticVars) + 8, bytes_.size())
+      << "layout drifted: fix firstSampleCountOffset";
+  for (const std::uint64_t bogus : {std::uint64_t(1) << 60, samples + 1}) {
+    auto crafted = bytes_;
+    putU64(crafted, off, bogus);
+    writeAll(path_, reseal(crafted));
+    expectLoadError("receiver sample count");
+  }
 }
 
 TEST_F(SnapshotDamage, PrecisionMismatchMentionsPrecisionFlag) {

@@ -4,6 +4,10 @@
 // return identical analytic flop counts. Covered here:
 //   * per-kernel randomized-operand exactness for {W = 1, 2, 4} x
 //     {dense, CSR} x {star, right} (double and float),
+//   * the W = 1 dense right-multiply on the real DG operators of orders
+//     1-6 and the W = 1 dense star on the Jacobian/coupling shapes, with
+//     trims, zeros, -0.0 and subnormals (double and float),
+//   * bit-exact broadcasts (`vecdetail::splat`) for every vector width,
 //   * axpy / scale-copy helper exactness,
 //   * flop-count parity across backends,
 //   * backend registry / resolution / parsing behavior,
@@ -12,8 +16,12 @@
 //     seismogram comparison.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
+#include <limits>
 #include <random>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "basis/global_matrices.hpp"
@@ -162,6 +170,151 @@ TEST(KernelBackends, BitwiseAgreementFloatW1) { checkBackendsAgree<float, 1>(14)
 TEST(KernelBackends, BitwiseAgreementFloatW4) { checkBackendsAgree<float, 4>(15); }
 TEST(KernelBackends, BitwiseAgreementFloatW8) { checkBackendsAgree<float, 8>(16); }
 TEST(KernelBackends, BitwiseAgreementFloatW16) { checkBackendsAgree<float, 16>(17); }
+
+// -- W = 1 right-multiply on the real DG operators --------------------------
+
+namespace {
+
+/// D operand with the values the skip rule cares about salted in: exact
+/// zeros and -0.0 (skipped by the reference), subnormals (not skipped; the
+/// broadcast must keep their bits), and one variable whose row is zero
+/// throughout, so its -0.0-seeded outputs must come back untouched.
+template <typename Real>
+std::vector<Real> saltedD(int_t nVars, int_t ldd, unsigned seed) {
+  auto d = randomVec<Real>(static_cast<std::size_t>(nVars) * ldd, seed);
+  for (std::size_t i = 0; i < d.size(); ++i) {
+    if (i % 7 == 3) d[i] = Real(0);
+    if (i % 7 == 5) d[i] = Real(-0.0);
+    if (i % 11 == 4) d[i] = std::numeric_limits<Real>::denorm_min() * Real(i % 5 + 1);
+  }
+  if (nVars > 1)
+    for (int_t k = 0; k < ldd; ++k)
+      d[static_cast<std::size_t>(ldd) + k] = k % 2 ? Real(0) : Real(-0.0);
+  return d;
+}
+
+/// The reference's `rightDense` at W = 1 against the vector backend's
+/// register-blocked kernel on every global operator family (stiffness,
+/// CK derivative, face projection, lift, neighbor flux) of orders 1-6, so
+/// every column chunk width and tail runs; with kEff/nEff trims, a
+/// variable count that leaves a block remainder, and outputs pre-seeded
+/// with -0.0 (the case the per-variable `d == 0` skip protects).
+template <typename Real>
+void checkRightDenseW1OnOperators(unsigned seed) {
+  NGLTS_REQUIRE_VECTOR_BACKEND();
+  const auto& scalar = nl::smallGemmOps<Real, 1>(KernelBackend::kScalar);
+  const auto& vector = nl::smallGemmOps<Real, 1>(KernelBackend::kVector);
+  for (int_t order = 1; order <= 6; ++order) {
+    const auto gm = nglts::basis::buildGlobalMatrices(order);
+    for (const nl::Matrix* m : {&gm->kXi[0], &gm->gXi[2], &gm->fluxLocal[1], &gm->fluxLift[3],
+                                &gm->fluxNeigh[2][4]}) {
+      const nl::SmallOp<Real> op(*m);
+      for (const int_t nVars : {int_t(9), int_t(4)})
+        for (const int_t kEff : {op.rows, (op.rows + 1) / 2})
+          for (const int_t nEff : {op.cols, op.cols - 1, (op.cols + 1) / 2}) {
+            if (nEff < 1) continue;
+            const int_t ldd = op.rows + 1, ldo = op.cols + 2;
+            const auto d = saltedD<Real>(nVars, ldd, seed);
+            auto o1 = randomVec<Real>(static_cast<std::size_t>(nVars) * ldo, seed + 1);
+            for (std::size_t i = 0; i < o1.size(); i += 3) o1[i] = Real(-0.0);
+            auto o2 = o1;
+            const auto f1 = scalar.rightDense(nVars, kEff, nEff, op.cols, d.data(),
+                                              op.dense.data(), o1.data(), ldd, ldo);
+            const auto f2 = vector.rightDense(nVars, kEff, nEff, op.cols, d.data(),
+                                              op.dense.data(), o2.data(), ldd, ldo);
+            EXPECT_EQ(f1, f2) << "rightDense W=1 flop parity";
+            EXPECT_TRUE(bitwiseEqual(o1, o2))
+                << "order " << order << " operator " << op.rows << "x" << op.cols << " nVars "
+                << nVars << " kEff " << kEff << " nEff " << nEff;
+            ++seed;
+          }
+    }
+  }
+}
+
+/// W = 1 dense star through the same register-blocked kernel (the star
+/// shape is the right shape with the operands' roles swapped): the
+/// Jacobian (9 x 9) and anelastic coupling (6 x 9, 9 x 6) shapes over
+/// every column count the orders 1-6 produce, with zero, -0.0 and
+/// subnormal operator entries, an all-zero operator row and -0.0-seeded
+/// outputs.
+template <typename Real>
+void checkStarDenseW1(unsigned seed) {
+  NGLTS_REQUIRE_VECTOR_BACKEND();
+  const auto& scalar = nl::smallGemmOps<Real, 1>(KernelBackend::kScalar);
+  const auto& vector = nl::smallGemmOps<Real, 1>(KernelBackend::kVector);
+  const std::pair<int_t, int_t> shapes[] = {{9, 9}, {6, 9}, {9, 6}};
+  for (const auto& [m, k] : shapes)
+    for (const int_t nCols : {1, 3, 4, 6, 10, 15, 20, 21, 35, 56}) {
+      const int_t ld = nCols + 3;
+      const auto a = saltedD<Real>(m, k, seed);
+      const auto d = randomVec<Real>(static_cast<std::size_t>(k) * ld, seed + 1);
+      auto o1 = randomVec<Real>(static_cast<std::size_t>(m) * ld, seed + 2);
+      for (std::size_t i = 0; i < o1.size(); i += 3) o1[i] = Real(-0.0);
+      auto o2 = o1;
+      const auto f1 = scalar.starDense(m, k, nCols, ld, a.data(), d.data(), o1.data());
+      const auto f2 = vector.starDense(m, k, nCols, ld, a.data(), d.data(), o2.data());
+      EXPECT_EQ(f1, f2) << "starDense W=1 flop parity";
+      EXPECT_TRUE(bitwiseEqual(o1, o2)) << m << "x" << k << " star, nCols " << nCols;
+      ++seed;
+    }
+}
+
+// Vectors wider than the baseline ISA pass by value in the splat test
+// below; nothing leaves this file, so the ABI note is moot.
+#if NGLTS_HAVE_VECTOR_KERNELS
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wpsabi"
+
+template <typename Real, int Bytes>
+void expectSplatKeepsBits() {
+  using V = typename nl::vecdetail::VecT<Real, Bytes>::type;
+  using U = std::conditional_t<sizeof(Real) == 8, std::uint64_t, std::uint32_t>;
+  constexpr int kLanes = Bytes / static_cast<int>(sizeof(Real));
+  const U nanPayload = sizeof(Real) == 8 ? U(0x7ff80000deadbeefull) : U(0x7fc0beefu);
+  const U negNan = sizeof(Real) == 8 ? U(0xfff8000000000123ull) : U(0xffc00123u);
+  Real nan1, nan2;
+  std::memcpy(&nan1, &nanPayload, sizeof nan1);
+  std::memcpy(&nan2, &negNan, sizeof nan2);
+  using lim = std::numeric_limits<Real>;
+  for (const Real s : {Real(-0.0), Real(0), nan1, nan2, lim::denorm_min(), -lim::denorm_min(),
+                       lim::min() - lim::denorm_min(), -lim::infinity(), Real(1.5)}) {
+    const V v = nl::vecdetail::splat<V, Real>(s);
+    Real lanes[kLanes];
+    std::memcpy(lanes, &v, sizeof v);
+    for (int i = 0; i < kLanes; ++i)
+      EXPECT_EQ(std::memcmp(&lanes[i], &s, sizeof s), 0)
+          << sizeof(Real) << "-byte lanes, " << Bytes << "-byte vector, lane " << i;
+  }
+}
+
+#pragma GCC diagnostic pop
+#endif // NGLTS_HAVE_VECTOR_KERNELS
+
+} // namespace
+
+TEST(KernelBackends, RightDenseW1OnOperatorsDouble) { checkRightDenseW1OnOperators<double>(31); }
+TEST(KernelBackends, RightDenseW1OnOperatorsFloat) { checkRightDenseW1OnOperators<float>(32); }
+TEST(KernelBackends, StarDenseW1Double) { checkStarDenseW1<double>(33); }
+TEST(KernelBackends, StarDenseW1Float) { checkStarDenseW1<float>(34); }
+
+/// The broadcast is a bit copy: -0.0, NaN payloads and subnormals survive in
+/// every lane of every vector width the kernels use.
+TEST(KernelBackends, SplatKeepsBitPatterns) {
+#if NGLTS_HAVE_VECTOR_KERNELS
+  expectSplatKeepsBits<double, 8>();
+  expectSplatKeepsBits<double, 16>();
+  expectSplatKeepsBits<double, 32>();
+  expectSplatKeepsBits<double, 64>();
+  expectSplatKeepsBits<float, 4>();
+  expectSplatKeepsBits<float, 8>();
+  expectSplatKeepsBits<float, 16>();
+  expectSplatKeepsBits<float, 32>();
+  expectSplatKeepsBits<float, 64>();
+#else
+  GTEST_SKIP() << "no vector kernels in this build";
+#endif
+}
 
 // -- registry / resolution / parsing ----------------------------------------
 
