@@ -6,15 +6,12 @@
 // zeros at O = 5 with three mechanisms.
 //
 // Every benchmark takes a trailing `backend` argument (0 = scalar reference
-// backend, 1 = explicit-SIMD vector backend, 2 = specialized = vector plus
-// compile-time-sparsity kernels for registered patterns; docs/KERNELS.md),
-// so BENCH_kernel.json carries per-backend A/B rows both for the raw
+// backend, 1 = explicit-SIMD vector backend; docs/KERNELS.md), so
+// BENCH_kernel.json carries per-backend A/B rows both for the raw
 // dispatched small-GEMM kernels (smallGemm* below, including the fused
 // W = 4 shapes the backend acceptance gate compares) and for the full ADER
-// updates. Backend 2 rows only exist for (order, W) combinations whose CSR
-// pattern is in the committed table (orders 3/4, W > 1) — the acceptance
-// gate is specialized >= vector on those CSR star/right rows. All backends
-// produce bitwise-identical results — these rows measure throughput only.
+// updates. Both backends produce bitwise-identical results — these rows
+// measure throughput only.
 //
 // The JSON context records the resolved ISA ("kernel_isa"); each row's
 // <Real, W> template arguments name its precision and fused width. Most
@@ -33,7 +30,6 @@
 #include "kernels/ader_kernels.hpp"
 #include "kernels/kernel_setup.hpp"
 #include "linalg/small_gemm_dispatch.hpp"
-#include "linalg/small_gemm_specialized.hpp"
 #include "mesh/box_gen.hpp"
 #include "mesh/geometry.hpp"
 #include "physics/attenuation.hpp"
@@ -44,11 +40,7 @@ using namespace nglts;
 namespace {
 
 linalg::KernelBackend backendArg(const benchmark::State& state, int idx) {
-  switch (state.range(idx)) {
-    case 2: return linalg::KernelBackend::kSpecialized;
-    case 1: return linalg::KernelBackend::kVector;
-    default: return linalg::KernelBackend::kScalar;
-  }
+  return state.range(idx) ? linalg::KernelBackend::kVector : linalg::KernelBackend::kScalar;
 }
 
 struct Fixture {
@@ -167,9 +159,8 @@ linalg::Matrix starMatrix(const kernels::ElementData<Real>& ed) {
 }
 
 /// The elastic star-operator *family* pattern (union of the three direction
-/// Jacobians — the pattern registered in the specialized table) with
-/// pattern-preserving random values, so scalar/vector/specialized CSR star
-/// rows all measure the identical operator.
+/// Jacobians) with pattern-preserving random values, so the scalar and
+/// vector CSR star rows measure the identical operator.
 linalg::Matrix starUnionMatrix() {
   const physics::Material mat = physics::elasticMaterial(2700.0, 6000.0, 3464.0);
   linalg::Matrix u(9, 9);
@@ -217,20 +208,11 @@ void smallGemmStarCsr(benchmark::State& state) {
   const int_t nb = numBasis3d(state.range(0));
   const auto& ops = linalg::smallGemmOps<Real, W>(backendArg(state, 1));
   const linalg::SmallOp<Real> star(starUnionMatrix());
-  linalg::SpecializedStarCsrFn<Real> spec = nullptr;
-  if (state.range(1) == 2) {
-    spec = linalg::findSpecializedStarCsr<Real, W>(star.csr);
-    if (!spec) {
-      state.SkipWithError("star pattern not registered for this W");
-      return;
-    }
-  }
   const auto d = randomOperand<Real>(static_cast<std::size_t>(9) * nb * W, 22);
   aligned_vector<Real> o(d.size(), Real(0));
   std::uint64_t flops = 0;
   for (auto _ : state) {
-    flops += spec ? spec(star.csr, nb, nb, d.data(), o.data())
-                  : ops.starCsr(star.csr, nb, nb, d.data(), o.data());
+    flops += ops.starCsr(star.csr, nb, nb, d.data(), o.data());
     benchmark::DoNotOptimize(o.data());
   }
   state.counters["GFLOPS"] =
@@ -263,20 +245,11 @@ void smallGemmRightCsr(benchmark::State& state) {
   const auto& ops = linalg::smallGemmOps<Real, W>(backendArg(state, 1));
   const auto gm = basis::buildGlobalMatrices(order);
   const linalg::SmallOp<Real> stiff(gm->kXi[0]);
-  linalg::SpecializedRightCsrFn<Real> spec = nullptr;
-  if (state.range(1) == 2) {
-    spec = linalg::findSpecializedRightCsr<Real, W>(stiff.csr);
-    if (!spec) {
-      state.SkipWithError("stiffness pattern not registered for this order/W");
-      return;
-    }
-  }
   const auto d = randomOperand<Real>(static_cast<std::size_t>(9) * nb * W, 24);
   aligned_vector<Real> o(d.size(), Real(0));
   std::uint64_t flops = 0;
   for (auto _ : state) {
-    flops += spec ? spec(9, nb, stiff.csr, d.data(), o.data(), nb, nb)
-                  : ops.rightCsr(9, nb, stiff.csr, d.data(), o.data(), nb, nb);
+    flops += ops.rightCsr(9, nb, stiff.csr, d.data(), o.data(), nb, nb);
     benchmark::DoNotOptimize(o.data());
   }
   state.counters["GFLOPS"] =
@@ -296,11 +269,6 @@ BENCHMARK_TEMPLATE(localUpdate, double, 1)
 BENCHMARK_TEMPLATE(localUpdate, float, 16)
     ->ArgsProduct({{3, 4, 5}, {1}, {3}, {0, 1}})
     ->ArgNames({"order", "sparse", "mechs", "backend"});
-// Specialized ADER rows only where the stiffness patterns are registered
-// (orders 3/4; order 5 would silently measure the per-operator fallback).
-BENCHMARK_TEMPLATE(localUpdate, float, 16)
-    ->ArgsProduct({{3, 4}, {1}, {3}, {2}})
-    ->ArgNames({"order", "sparse", "mechs", "backend"});
 BENCHMARK_TEMPLATE(neighborUpdate, float, 1)
     ->ArgsProduct({{3, 4, 5}, {0, 1}, {0, 1}})
     ->ArgNames({"order", "sparse", "backend"});
@@ -308,13 +276,12 @@ BENCHMARK_TEMPLATE(neighborUpdate, double, 1)
     ->ArgsProduct({{4}, {0}, {0, 1}})
     ->ArgNames({"order", "sparse", "backend"});
 BENCHMARK_TEMPLATE(neighborUpdate, float, 16)
-    ->ArgsProduct({{4}, {1}, {0, 1, 2}})
+    ->ArgsProduct({{4}, {1}, {0, 1}})
     ->ArgNames({"order", "sparse", "backend"});
 BENCHMARK(compress)->ArgsProduct({{4, 5}, {0, 1}})->ArgNames({"order", "backend"});
 
-// Raw small-GEMM backend A/B rows (scalar vs vector vs specialized per
-// shape; the W = 4 dense + CSR rows are the acceptance gate for the vector
-// backend, the backend = 2 CSR rows gate specialized >= vector, and the
+// Raw small-GEMM backend A/B rows (scalar vs vector per shape; the W = 4
+// dense + CSR rows are the acceptance gate for the vector backend, and the
 // <double, 4> vs <float, 4> pairs are the fp32-vs-f64 throughput A/B).
 BENCHMARK_TEMPLATE(smallGemmStarDense, float, 1)
     ->ArgsProduct({{4, 5}, {0, 1}})
@@ -334,16 +301,14 @@ BENCHMARK_TEMPLATE(smallGemmStarDense, double, 4)
 BENCHMARK_TEMPLATE(smallGemmStarCsr, float, 1)
     ->ArgsProduct({{4, 5}, {0, 1}})
     ->ArgNames({"order", "backend"});
-// The star pattern (elastic 9 x 9 union) is order-independent, so the
-// specialized arm exists for every benched order at W > 1.
 BENCHMARK_TEMPLATE(smallGemmStarCsr, float, 4)
-    ->ArgsProduct({{4, 5}, {0, 1, 2}})
+    ->ArgsProduct({{4, 5}, {0, 1}})
     ->ArgNames({"order", "backend"});
 BENCHMARK_TEMPLATE(smallGemmStarCsr, float, 16)
-    ->ArgsProduct({{4}, {0, 1, 2}})
+    ->ArgsProduct({{4}, {0, 1}})
     ->ArgNames({"order", "backend"});
 BENCHMARK_TEMPLATE(smallGemmStarCsr, double, 4)
-    ->ArgsProduct({{4}, {0, 1, 2}})
+    ->ArgsProduct({{4}, {0, 1}})
     ->ArgNames({"order", "backend"});
 BENCHMARK_TEMPLATE(smallGemmRightDense, float, 1)
     ->ArgsProduct({{4, 5}, {0, 1}})
@@ -363,15 +328,11 @@ BENCHMARK_TEMPLATE(smallGemmRightCsr, float, 1)
 BENCHMARK_TEMPLATE(smallGemmRightCsr, float, 4)
     ->ArgsProduct({{4, 5}, {0, 1}})
     ->ArgNames({"order", "backend"});
-// Stiffness patterns are registered for orders 3/4 only.
-BENCHMARK_TEMPLATE(smallGemmRightCsr, float, 4)
-    ->ArgsProduct({{3, 4}, {2}})
-    ->ArgNames({"order", "backend"});
 BENCHMARK_TEMPLATE(smallGemmRightCsr, float, 16)
-    ->ArgsProduct({{4}, {0, 1, 2}})
+    ->ArgsProduct({{4}, {0, 1}})
     ->ArgNames({"order", "backend"});
 BENCHMARK_TEMPLATE(smallGemmRightCsr, double, 4)
-    ->ArgsProduct({{4}, {0, 1, 2}})
+    ->ArgsProduct({{4}, {0, 1}})
     ->ArgNames({"order", "backend"});
 
 // BENCHMARK_MAIN with a default JSON artifact: unless the caller passes its
@@ -398,7 +359,7 @@ int main(int argc, char** argv) {
   int n = static_cast<int>(args.size());
   benchmark::Initialize(&n, args.data());
   if (benchmark::ReportUnrecognizedArguments(n, args.data())) return 1;
-  // Attribution context: the ISA the vector/specialized kernels resolve to
+  // Attribution context: the ISA the vector kernels resolve to
   // on this host (per-row precision is the <float|double, W> template type
   // in each benchmark name).
   benchmark::AddCustomContext("kernel_isa", linalg::detectCpuSimd().isa);

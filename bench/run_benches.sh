@@ -10,8 +10,8 @@
 #   NGLTS_BENCH_SCALE   mesh/time scale multiplier (default 1.0); >= 1 for
 #                       meaningful numbers, < 1 for smoke runs.
 #   KERNEL              small-GEMM backend the solver benches pin
-#                       (auto | scalar | vector | specialized; default
-#                       auto). Exported as NGLTS_KERNEL to the bench
+#                       (auto | scalar | vector; default auto).
+#                       Exported as NGLTS_KERNEL to the bench
 #                       binaries, which record the resolved backend in
 #                       their BENCH_*.json ("kernel_backend" key) so rows
 #                       are attributable. kernel_micro always measures
@@ -43,7 +43,7 @@ cd "$OUT_DIR"
 
 echo "== kernel backend for solver benches: $NGLTS_KERNEL =="
 
-echo "== tab1_performance (Tab. I throughput + reorder A/B + thread sweep) =="
+echo "== tab1_performance (Tab. I throughput + thread sweep) =="
 "$BUILD_DIR/tab1_performance"
 
 echo "== fig10_scaling (rank scaling + hybrid ranks x threads sweep) =="

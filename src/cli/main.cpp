@@ -40,10 +40,10 @@ void printUsage() {
       "                        results across transports)\n"
       "      --overlap         overlap halo exchange with interior compute\n"
       "                        (bitwise-identical to the lockstep exchange)\n"
-      "      --kernel B        small-GEMM backend: auto | scalar | vector |\n"
-      "                        specialized (default auto = CPU detection; an\n"
-      "                        explicit vector/specialized errors instead of\n"
-      "                        falling back; bitwise-identical results)\n"
+      "      --kernel B        small-GEMM backend: auto | scalar | vector\n"
+      "                        (default auto = CPU detection; an explicit\n"
+      "                        vector errors instead of falling back;\n"
+      "                        bitwise-identical results)\n"
       "      --precision P     arithmetic precision: f64 | f32 (default f64 for\n"
       "                        quickstart/loh3; fused/lahabra are f32-only; f32\n"
       "                        accuracy is misfit-gated, see docs/KERNELS.md)\n"

@@ -72,7 +72,7 @@ void applyOverrides(solver::SimConfig& cfg, const ScenarioOptions& opts,
 /// Record the small-GEMM backend the run's kernels dispatch to and the
 /// arithmetic precision in the scenario summary ("kernel backend:
 /// vector(avx2)" / "precision: f64"); CI greps these lines to assert an
-/// explicit --kernel vector/specialized never silently degrades and that
+/// explicit --kernel vector never silently degrades and that
 /// --precision f32 actually took effect.
 void appendKernelLine(std::string& out, const solver::SimConfig& cfg) {
   appendf(out, "kernel backend: %s\n",
@@ -908,7 +908,7 @@ void applyScenarioOverrides(solver::SimConfig& cfg, const ScenarioOptions& opts,
   if (opts.scheme) cfg.scheme = *opts.scheme;
   if (opts.numClusters) cfg.numClusters = *opts.numClusters;
   if (opts.kernelBackend) cfg.kernelBackend = *opts.kernelBackend;
-  // Resolve now so an explicit --kernel vector/specialized on an unsupported
+  // Resolve now so an explicit --kernel vector on an unsupported
   // build/host fails at config time (never a silent fallback mid-run).
   linalg::resolveKernelBackend(cfg.kernelBackend);
   if (opts.precision) cfg.precision = *opts.precision;

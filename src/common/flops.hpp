@@ -7,7 +7,7 @@
 // Accounting contract (docs/KERNELS.md, "Flop accounting"): counts are
 // *analytic* — derived from operand shapes and stored-nonzero counts, never
 // from hardware counters — and therefore identical for every kernel backend
-// (`--kernel scalar` / `vector` / `specialized`) and for every precision
+// (`--kernel scalar` / `vector`) and for every precision
 // (`--precision f64` / `f32`): a backend or a narrower Real changes how
 // fast the operations run, not how many of them are useful. Nothing in
 // this header depends on the scalar type, and the per-kernel count

@@ -28,7 +28,6 @@
 #include "common/types.hpp"
 #include "kernels/element_data.hpp"
 #include "linalg/small_gemm_dispatch.hpp"
-#include "linalg/small_gemm_specialized.hpp"
 
 namespace nglts::kernels {
 
@@ -60,18 +59,14 @@ class AderKernels {
   /// blocks of the star matrices and the derivative degrees. `backend`
   /// requests the small-GEMM implementation (`SimConfig::kernelBackend` /
   /// `--kernel`); it is resolved here via `linalg::resolveKernelBackend`,
-  /// which hard-errors on an explicit `kVector`/`kSpecialized` request the
-  /// build or host cannot honor (never a silent fallback). Under
-  /// `kSpecialized` (sparse mode) each global operator additionally gets a
-  /// compile-time-pattern kernel bound at construction when its sparsity
-  /// pattern is registered (linalg/small_gemm_specialized.hpp); operators
-  /// whose pattern misses keep the generic vector path per operator.
+  /// which hard-errors on an explicit `kVector` request the build or host
+  /// cannot honor (never a silent fallback).
   AderKernels(int_t order, int_t mechanisms, bool sparse,
               std::vector<double> relaxationFrequencies = {},
               linalg::KernelBackend backend = linalg::KernelBackend::kAuto);
 
   /// The *resolved* backend every small-GEMM of this instance dispatches to
-  /// (kScalar, kVector or kSpecialized, never kAuto).
+  /// (kScalar or kVector, never kAuto).
   linalg::KernelBackend backend() const { return backend_; }
 
   int_t order() const { return order_; }
@@ -143,7 +138,7 @@ class AderKernels {
  private:
   int_t order_, mechs_, nq_, nb_, nf_;
   bool sparse_;
-  linalg::KernelBackend backend_;  ///< resolved (kScalar | kVector | kSpecialized)
+  linalg::KernelBackend backend_;  ///< resolved (kScalar | kVector)
   const linalg::SmallGemmOps<Real, W>* ops_;    ///< dispatch table for backend_
   std::shared_ptr<const basis::GlobalMatrices> gm_;
   std::vector<Real> omega_;
@@ -162,15 +157,10 @@ class AderKernels {
 
   /// Apply a global operator from the right, choosing the *image* (dense
   /// block-trimmed vs fully sparse CSR, Sec. IV-A) per `sparse_` and the
-  /// *implementation* per the dispatched backend table — or the operator's
-  /// bound pattern-specialized kernel (kSpecialized backend, registered
-  /// pattern) which is bitwise-identical by construction.
+  /// *implementation* per the dispatched backend table.
   std::uint64_t applyRight(const linalg::SmallOp<Real>& op, int_t nVars, int_t kEff, int_t nEff,
                            const Real* d, Real* o, int_t ldd, int_t ldo) const {
-    if (sparse_) {
-      if (op.specializedRight) return op.specializedRight(nVars, kEff, op.csr, d, o, ldd, ldo);
-      return ops_->rightCsr(nVars, kEff, op.csr, d, o, ldd, ldo);
-    }
+    if (sparse_) return ops_->rightCsr(nVars, kEff, op.csr, d, o, ldd, ldo);
     return ops_->rightDense(nVars, kEff, nEff, op.cols, d, op.dense.data(), o, ldd, ldo);
   }
 
@@ -203,23 +193,6 @@ AderKernels<Real, W>::AderKernels(int_t order, int_t mechanisms, bool sparse,
     fluxLocal_[i].assign(gm_->fluxLocal[i]);
     fluxLift_[i].assign(gm_->fluxLift[i]);
     for (int_t s = 0; s < 6; ++s) fluxNeigh_[i][s].assign(gm_->fluxNeigh[i][s]);
-  }
-  if (backend_ == linalg::KernelBackend::kSpecialized && sparse_) {
-    // Bind pattern-specialized kernels where the operator's sparsity is in
-    // the committed table (today: K_xi / G_xi at the generated orders; the
-    // flux operators' lookups miss by design and keep the vector path).
-    for (int_t c = 0; c < 3; ++c) {
-      gXiNeg_[c].specializedRight = linalg::findSpecializedRightCsr<Real, W>(gXiNeg_[c].csr);
-      kXi_[c].specializedRight = linalg::findSpecializedRightCsr<Real, W>(kXi_[c].csr);
-    }
-    for (int_t i = 0; i < 4; ++i) {
-      fluxLocal_[i].specializedRight =
-          linalg::findSpecializedRightCsr<Real, W>(fluxLocal_[i].csr);
-      fluxLift_[i].specializedRight = linalg::findSpecializedRightCsr<Real, W>(fluxLift_[i].csr);
-      for (int_t s = 0; s < 6; ++s)
-        fluxNeigh_[i][s].specializedRight =
-            linalg::findSpecializedRightCsr<Real, W>(fluxNeigh_[i][s].csr);
-    }
   }
   for (int_t d = 0; d <= order_; ++d)
     degWidth_[d] = numBasis3d(order_ - d > 0 ? order_ - d : 0);

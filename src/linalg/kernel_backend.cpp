@@ -72,10 +72,6 @@ const std::vector<KernelBackendInfo>& kernelBackendRegistry() {
       {KernelBackend::kVector, "vector",
        "explicit register-blocked SIMD micro-kernels (GCC/Clang vector extensions)",
        vectorBackendCompiled() && detectCpuSimd().any()},
-      {KernelBackend::kSpecialized, "specialized",
-       "vector backend + compile-time-sparsity CSR kernels for registered (order, pattern) "
-       "pairs, generic vector fallback per operator",
-       vectorBackendCompiled() && detectCpuSimd().any()},
   };
   return registry;
 }
@@ -93,17 +89,6 @@ KernelBackend resolveKernelBackend(KernelBackend requested) {
                                      : "build has no vector kernels") +
             "); an explicit request never falls back — use '--kernel auto'");
       return KernelBackend::kVector;
-    case KernelBackend::kSpecialized:
-      // Same availability as the vector backend: the specialized kernels
-      // are built on the same vector machinery and fall back to it per
-      // operator, so a host that cannot run vector cannot run specialized.
-      if (!vectorOk)
-        throw std::runtime_error(
-            std::string("kernel backend 'specialized' requested but unavailable (") +
-            (vectorBackendCompiled() ? "CPU reports no SIMD features"
-                                     : "build has no vector kernels") +
-            "); an explicit request never falls back — use '--kernel auto'");
-      return KernelBackend::kSpecialized;
     case KernelBackend::kAuto:
       return vectorOk ? KernelBackend::kVector : KernelBackend::kScalar;
   }
@@ -115,7 +100,6 @@ std::string kernelBackendName(KernelBackend b) {
     case KernelBackend::kAuto: return "auto";
     case KernelBackend::kScalar: return "scalar";
     case KernelBackend::kVector: return "vector";
-    case KernelBackend::kSpecialized: return "specialized";
   }
   return "?";
 }
@@ -125,15 +109,13 @@ KernelBackend parseKernelBackend(const std::string& s) {
   for (const KernelBackendInfo& info : kernelBackendRegistry())
     if (s == info.name) return info.id;
   throw std::invalid_argument("unknown kernel backend '" + s +
-                              "' (expected auto | scalar | vector | specialized)");
+                              "' (expected auto | scalar | vector)");
 }
 
 std::string resolvedKernelBackendLabel(KernelBackend requested) {
   const KernelBackend resolved = resolveKernelBackend(requested);
   if (resolved == KernelBackend::kVector)
     return "vector(" + std::string(vectorKernelIsa()) + ")";
-  if (resolved == KernelBackend::kSpecialized)
-    return "specialized(" + std::string(vectorKernelIsa()) + ")";
   return kernelBackendName(resolved);
 }
 

@@ -194,16 +194,6 @@ struct SmallOp {
   std::vector<Real> dense;  // row-major rows x cols
   Csr<Real> csr;
 
-  /// Pattern-specialized right-multiply kernel for this operator, used by
-  /// the `specialized` backend only: `kernels::AderKernels` resolves it at
-  /// construction through `linalg::findSpecializedRightCsr`
-  /// (small_gemm_specialized.hpp) for the W it instantiates. nullptr means
-  /// "pattern not registered" — appliers then use the generic dispatch
-  /// table, the backend's documented per-operator fallback. `assign`
-  /// resets it: a new matrix invalidates the old pattern match.
-  std::uint64_t (*specializedRight)(int_t nVars, int_t kEff, const Csr<Real>& b, const Real* d,
-                                    Real* o, int_t ldd, int_t ldo) = nullptr;
-
   SmallOp() = default;
   explicit SmallOp(const Matrix& m, double tol = 1e-14) { assign(m, tol); }
 
@@ -215,7 +205,6 @@ struct SmallOp {
       for (int_t c = 0; c < cols; ++c)
         dense[static_cast<std::size_t>(r) * cols + c] = static_cast<Real>(m(r, c));
     csr = toCsr<Real>(m, tol);
-    specializedRight = nullptr;
   }
 };
 

@@ -38,7 +38,7 @@ struct SmallGemmOps {
   KernelBackend backend;  ///< kScalar or kVector — which table this is
 };
 
-/// The table for a *resolved* backend (kScalar, kVector or kSpecialized —
+/// The table for a *resolved* backend (kScalar or kVector —
 /// pass requests through `resolveKernelBackend` first; kAuto maps to the
 /// scalar table here only as a safety net). The vector table exists for
 /// power-of-two W (every instantiated fused width) on compilers with
@@ -47,13 +47,6 @@ struct SmallGemmOps {
 /// additional `target("avx2")` and `target("avx512f")` clone tables,
 /// picked here at runtime (widest CPU-supported ISA first) — same bodies,
 /// 32/64-byte vectors, bitwise-identical results (small_gemm_vector.hpp).
-///
-/// `kSpecialized` returns the *generic* vector tables: at this raw layer
-/// the specialized backend is the vector backend. The pattern-specialized
-/// function pointers live one level up, resolved per operator matrix by
-/// `findSpecializedRightCsr` into `SmallOp::specializedRight`
-/// (small_gemm_specialized.hpp) — generic tables here are its documented
-/// runtime fallback for unregistered patterns.
 template <typename Real, int W>
 inline const SmallGemmOps<Real, W>& smallGemmOps(KernelBackend resolved) {
   static constexpr SmallGemmOps<Real, W> scalar = {
@@ -68,8 +61,7 @@ inline const SmallGemmOps<Real, W>& smallGemmOps(KernelBackend resolved) {
         &rightMulCsrVec<Real, W>,  &axpyBlockVec<Real>,      &scaleCopyBlockVec<Real>,
         KernelBackend::kVector,
     };
-    const bool wantsVector =
-        resolved == KernelBackend::kVector || resolved == KernelBackend::kSpecialized;
+    const bool wantsVector = resolved == KernelBackend::kVector;
 #if NGLTS_HAVE_AVX512_CLONES
     static constexpr SmallGemmOps<Real, W> vectorAvx512 = {
         &starMulDenseVecAvx512<Real, W>, &starMulCsrVecAvx512<Real, W>,

@@ -85,6 +85,15 @@ class Parser {
     }
   }
 
+  /// A section or block header count: an integer that must not be
+  /// negative. It only bounds a loop that consumes one line per step, so
+  /// nothing is ever sized from it.
+  idx_t toCount(const std::string& tok, const char* what) const {
+    const idx_t v = toIndex(tok);
+    if (v < 0) fail(std::string("negative ") + what + " " + tok);
+    return v;
+  }
+
   const std::string& lastRaw() const { return lastRaw_; }
 
  private:
@@ -128,7 +137,7 @@ void parseMeshFormat(Parser& p) {
 
 void parsePhysicalNames(Parser& p, ReadState& st) {
   const auto header = p.require("$PhysicalNames");
-  const idx_t count = p.toIndex(header[0]);
+  const idx_t count = p.toCount(header[0], "physical name count");
   for (idx_t i = 0; i < count; ++i) {
     p.require("$PhysicalNames");
     const std::string& raw = p.lastRaw();
@@ -154,19 +163,20 @@ void parsePhysicalNames(Parser& p, ReadState& st) {
 void parseEntities(Parser& p, ReadState& st) {
   const auto header = p.require("$Entities");
   if (header.size() != 4) p.fail("$Entities needs 'points curves surfaces volumes'");
-  const idx_t nPoints = p.toIndex(header[0]);
-  const idx_t nCurves = p.toIndex(header[1]);
-  const idx_t nSurfaces = p.toIndex(header[2]);
-  const idx_t nVolumes = p.toIndex(header[3]);
-  for (idx_t i = 0; i < nPoints + nCurves; ++i) p.require("$Entities");
+  const idx_t nPoints = p.toCount(header[0], "point entity count");
+  const idx_t nCurves = p.toCount(header[1], "curve entity count");
+  const idx_t nSurfaces = p.toCount(header[2], "surface entity count");
+  const idx_t nVolumes = p.toCount(header[3], "volume entity count");
+  for (idx_t i = 0; i < nPoints; ++i) p.require("$Entities");
+  for (idx_t i = 0; i < nCurves; ++i) p.require("$Entities");
   for (idx_t i = 0; i < nSurfaces; ++i) {
     // tag minX minY minZ maxX maxY maxZ numPhys phys... numCurves curves...
     const auto tokens = p.require("$Entities");
     if (tokens.size() < 8) p.fail("surface entity needs at least 8 fields");
     const idx_t tag = p.toIndex(tokens[0]);
-    const idx_t numPhys = p.toIndex(tokens[7]);
+    const idx_t numPhys = p.toCount(tokens[7], "physical tag count");
     if (numPhys > 0) {
-      if (static_cast<idx_t>(tokens.size()) < 8 + numPhys)
+      if (numPhys > static_cast<idx_t>(tokens.size()) - 8)
         p.fail("surface entity truncated physical-tag list");
       st.surfacePhys[tag] = p.toIndex(tokens[8]);
     }
@@ -178,13 +188,16 @@ void parseEntities(Parser& p, ReadState& st) {
 void parseNodes(Parser& p, TetMesh& mesh, ReadState& st) {
   const auto header = p.require("$Nodes");
   if (header.size() != 4) p.fail("$Nodes needs 'numBlocks numNodes minTag maxTag'");
-  const idx_t numBlocks = p.toIndex(header[0]);
+  const idx_t numBlocks = p.toCount(header[0], "node block count");
+  p.toCount(header[1], "node count");
   for (idx_t b = 0; b < numBlocks; ++b) {
     const auto block = p.require("$Nodes");
     if (block.size() != 4) p.fail("node block needs 'entityDim entityTag parametric numNodes'");
     if (block[2] != "0") p.fail("parametric nodes are not supported");
-    const idx_t n = p.toIndex(block[3]);
-    std::vector<idx_t> tags(static_cast<std::size_t>(n));
+    const idx_t n = p.toCount(block[3], "node count");
+    // Grown per tag line read, so memory stays bounded by the file's size
+    // whatever count the block header declares.
+    std::vector<idx_t> tags;
     for (idx_t i = 0; i < n; ++i) {
       const auto t = p.require("$Nodes");
       if (t.size() != 1) p.fail("expected a single node tag per line");
@@ -192,7 +205,7 @@ void parseNodes(Parser& p, TetMesh& mesh, ReadState& st) {
       if (tag < 1) p.fail("node id " + std::to_string(tag) + " out of range (must be >= 1)");
       if (st.nodeIndex.count(tag)) p.fail("duplicate node id " + std::to_string(tag));
       st.nodeIndex[tag] = -1; // claimed; resolved against coordinates below
-      tags[static_cast<std::size_t>(i)] = tag;
+      tags.push_back(tag);
     }
     for (idx_t i = 0; i < n; ++i) {
       const auto t = p.require("$Nodes");
@@ -209,14 +222,15 @@ void parseNodes(Parser& p, TetMesh& mesh, ReadState& st) {
 void parseElements(Parser& p, TetMesh& mesh, ReadState& st) {
   const auto header = p.require("$Elements");
   if (header.size() != 4) p.fail("$Elements needs 'numBlocks numElements minTag maxTag'");
-  const idx_t numBlocks = p.toIndex(header[0]);
+  const idx_t numBlocks = p.toCount(header[0], "element block count");
+  p.toCount(header[1], "element count");
   for (idx_t b = 0; b < numBlocks; ++b) {
     const auto block = p.require("$Elements");
     if (block.size() != 4)
       p.fail("element block needs 'entityDim entityTag elementType numElements'");
     const idx_t entityTag = p.toIndex(block[1]);
     const idx_t type = p.toIndex(block[2]);
-    const idx_t n = p.toIndex(block[3]);
+    const idx_t n = p.toCount(block[3], "element count");
     idx_t nodesPerElement = 0;
     switch (type) {
       case 1: nodesPerElement = 2; break;  // 2-node line (skipped)

@@ -249,14 +249,8 @@ void DistributedSimulation<Real, W>::buildRank(int_t r) {
     for (const typename Rank::SendOp& op : rank->sendByCluster[c]) bound.push_back(op.el);
     rank->haloBound[c] = sortedUnique(std::move(bound));
     const std::vector<idx_t>& b = rank->haloBound[c];
-    auto addInterior = [&](idx_t el) {
+    for (idx_t el = state.clusterBegin(c); el < state.clusterEnd(c); ++el)
       if (!std::binary_search(b.begin(), b.end(), el)) rank->interior[c].push_back(el);
-    };
-    if (state.contiguousClusters()) {
-      for (idx_t el = state.clusterBegin(c); el < state.clusterEnd(c); ++el) addInterior(el);
-    } else {
-      for (idx_t el : state.clusterElems(c)) addInterior(el);
-    }
   }
 
   auto inner = solver::makeNeighborDataPolicy<Real, W>(cfg_.sim, *rank->state, *kernels_,

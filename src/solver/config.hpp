@@ -104,12 +104,6 @@ struct SimConfig {
   /// element-local step. Valid: >= 0; 0 = sample at the receiver element's
   /// own local time levels.
   double receiverSampleDt = 0.0;
-  /// Permute elements into the cluster-contiguous, neighbor-packed internal
-  /// arena order (Sec. VI): every time cluster becomes one contiguous index
-  /// range and the hot loops stream linearly through memory. External
-  /// element ids (`dofs()`, `sample()`, receivers) are unaffected. Off
-  /// keeps the original mesh order — for A/B layout comparisons and tests.
-  bool clusterReorder = true;
   /// OpenMP threads the `StepExecutor` element loops and the arena's NUMA
   /// first-touch pass use (per rank in distributed runs). Valid: >= 1;
   /// 1 = serial. Results are bitwise-identical for every value — each

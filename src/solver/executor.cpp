@@ -144,19 +144,12 @@ void StepExecutor<Real, W>::forEachElement(int_t cluster, const std::vector<idx_
   // only on (range, numThreads) and a chunk always runs whole with its own
   // workspace, so results are bitwise-identical for every thread count and
   // every steal timing (threading.hpp).
-  const std::vector<idx_t>* elems = subset;
-  idx_t begin = 0, end = 0;
-  if (!elems && state_.contiguousClusters()) {
-    begin = state_.clusterBegin(cluster);
-    end = state_.clusterEnd(cluster);
-  } else {
-    if (!elems) elems = &state_.clusterElems(cluster);
-    end = static_cast<idx_t>(elems->size());
-  }
+  const idx_t begin = subset ? 0 : state_.clusterBegin(cluster);
+  const idx_t end = subset ? static_cast<idx_t>(subset->size()) : state_.clusterEnd(cluster);
   stealChunks(nChunks_, nThreads_, [&](int_t chunk) {
     if (chunkDelayHook_) chunkDelayHook_(chunk);
     const ChunkRange r = staticChunk(begin, end, nChunks_, chunk);
-    for (idx_t i = r.begin; i < r.end; ++i) fn(elems ? (*elems)[i] : i, chunk);
+    for (idx_t i = r.begin; i < r.end; ++i) fn(subset ? (*subset)[i] : i, chunk);
   });
 }
 

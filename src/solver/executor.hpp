@@ -154,8 +154,8 @@ class StepExecutor {
   void runOpOn(const lts::ScheduleOp& op, const std::vector<idx_t>* subset, bool completesOp);
   void localElement(idx_t el, double dt, double t0, bool odd, int_t chunk);
   void neighborElement(idx_t el, idx_t step, int_t chunk);
-  /// Run `fn(el, chunk)` over `subset` or, if null, the cluster's elements
-  /// (contiguous range or index-list fallback), in nChunks_ chunks of the
+  /// Run `fn(el, chunk)` over `subset` or, if null, the cluster's
+  /// contiguous internal range, in nChunks_ chunks of the
   /// pure `staticChunk` map stolen whole by the team (threading.hpp).
   /// `chunk` selects the workspace.
   template <typename Fn>

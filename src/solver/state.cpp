@@ -1,23 +1,9 @@
 #include "solver/state.hpp"
 
-#include <numeric>
-
 #include "kernels/kernel_setup.hpp"
 #include "solver/threading.hpp"
 
 namespace nglts::solver {
-
-namespace {
-
-partition::Reordering identityReordering(idx_t n) {
-  partition::Reordering r;
-  r.oldId.resize(n);
-  std::iota(r.oldId.begin(), r.oldId.end(), idx_t{0});
-  r.newId = r.oldId;
-  return r;
-}
-
-} // namespace
 
 template <typename Real, int W>
 SolverState<Real, W>::SolverState(const mesh::TetMesh& externalMesh,
@@ -29,23 +15,14 @@ SolverState<Real, W>::SolverState(const mesh::TetMesh& externalMesh,
   const idx_t n = externalMesh.numElements();
   numOwned_ = numOwned < 0 ? n : numOwned;
   if (numOwned_ > n) throw std::runtime_error("SolverState: numOwned > numElements");
-  reorder_ = cfg.clusterReorder
-                 ? partition::buildClusterReordering(externalMesh, clustering.cluster,
-                                                     /*packNeighbors=*/true, numOwned_)
-                 : identityReordering(n);
+  reorder_ = partition::buildClusterReordering(externalMesh, clustering.cluster,
+                                              /*packNeighbors=*/true, numOwned_);
   mesh_ = partition::applyReordering(externalMesh, reorder_);
   numClusters_ = clustering.numClusters;
-  contiguous_ = cfg.clusterReorder;
   cluster_ = partition::permute(clustering.cluster, reorder_);
-  if (contiguous_) {
-    // Cluster ranges span the owned prefix only; halo elements sit after.
-    const std::vector<int_t> ownedCluster(cluster_.begin(), cluster_.begin() + numOwned_);
-    clusterOffsets_ = partition::clusterRanges(ownedCluster, numClusters_);
-  } else {
-    // Original mesh order: clusters are scattered, keep index lists.
-    clusterElems_.assign(numClusters_, {});
-    for (idx_t e = 0; e < numOwned_; ++e) clusterElems_[cluster_[e]].push_back(e);
-  }
+  // Cluster ranges span the owned prefix only; halo elements sit after.
+  const std::vector<int_t> ownedCluster(cluster_.begin(), cluster_.begin() + numOwned_);
+  clusterOffsets_ = partition::clusterRanges(ownedCluster, numClusters_);
 
   const std::vector<mesh::ElementGeometry> geo = partition::permute(externalGeo, reorder_);
   const std::vector<physics::Material> mats = partition::permute(externalMaterials, reorder_);
@@ -92,14 +69,8 @@ SolverState<Real, W>::SolverState(const mesh::TetMesh& externalMesh,
       for (idx_t el = c.begin; el < c.end; ++el) zeroElement(el);
     });
   };
-  if (contiguous_) {
-    for (int_t c = 0; c < numClusters_; ++c) zeroRange(clusterBegin(c), clusterEnd(c));
-    zeroRange(numOwned_, n); // halo suffix (filled from messages, never stepped)
-  } else {
-    // Index-list fallback: the clusters are not contiguous ranges here, so
-    // chunk the internal index space as a whole.
-    zeroRange(0, n);
-  }
+  for (int_t c = 0; c < numClusters_; ++c) zeroRange(clusterBegin(c), clusterEnd(c));
+  zeroRange(numOwned_, n); // halo suffix (filled from messages, never stepped)
 }
 
 template class SolverState<float, 1>;

@@ -65,15 +65,9 @@ class SolverState {
   idx_t numHalo() const { return mesh_.numElements() - numOwned_; }
   bool isHalo(idx_t internal) const { return internal >= numOwned_; }
   int_t numClusters() const { return numClusters_; }
-  /// Whether every cluster is one contiguous internal index range
-  /// (`SimConfig::clusterReorder`); if not, iterate `clusterElems` instead.
-  bool contiguousClusters() const { return contiguous_; }
   /// Internal index range of cluster c: [clusterBegin(c), clusterEnd(c)).
-  /// Only meaningful when `contiguousClusters()`.
   idx_t clusterBegin(int_t c) const { return clusterOffsets_[c]; }
   idx_t clusterEnd(int_t c) const { return clusterOffsets_[c + 1]; }
-  /// Index-list fallback of the unreordered layout (clusterReorder = false).
-  const std::vector<idx_t>& clusterElems(int_t c) const { return clusterElems_[c]; }
   int_t clusterOf(idx_t internal) const { return cluster_[internal]; }
 
   idx_t toInternal(idx_t external) const { return reorder_.newId[external]; }
@@ -113,10 +107,8 @@ class SolverState {
   mesh::TetMesh mesh_;                       ///< internal order
   idx_t numOwned_ = 0;
   int_t numClusters_ = 1;
-  bool contiguous_ = true;
   std::vector<int_t> cluster_;               ///< internal order
   std::vector<idx_t> clusterOffsets_;        ///< numClusters + 1 prefix offsets
-  std::vector<std::vector<idx_t>> clusterElems_; ///< only when !contiguous_
   std::vector<kernels::ElementData<Real>> elementData_;
 
   std::size_t elSize_ = 0, bufSize_ = 0, stackSize_ = 0;

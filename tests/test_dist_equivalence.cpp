@@ -222,34 +222,6 @@ TEST(DistEquivalenceExtra, BaselineOverlapThreadTransportBitwise) {
                             npar::Transport::kThread, /*overlap=*/true);
 }
 
-TEST(DistEquivalenceExtra, IndexListLayoutBitwiseVsContiguous) {
-  // clusterReorder = false keeps the original element order and per-cluster
-  // index lists on every rank; the distributed result must still be bitwise
-  // equal to the (reordered) single-rank arena — the layout never changes
-  // the math.
-  const double tEnd = 0.2;
-  Fixture f = makeFixture(0);
-  ns::SimConfig cfg = makeCfg(ns::TimeScheme::kLtsNextGen, 0);
-
-  ns::Simulation<double, 1> ref(f.mesh, f.mats, cfg);
-  ref.setInitialCondition(initWave);
-  ref.run(tEnd);
-
-  npar::DistConfig dcfg;
-  dcfg.sim = cfg;
-  dcfg.sim.clusterReorder = false;
-  npar::DistributedSimulation<double, 1> dist(f.mesh, f.mats, stripePartition(f.mesh, 3),
-                                              dcfg);
-  dist.setInitialCondition(initWave);
-  dist.run(tEnd);
-  for (idx_t e = 0; e < f.mesh.numElements(); ++e) {
-    const double* a = ref.dofs(e);
-    const double* b = dist.dofs(e);
-    for (std::size_t i = 0; i < ref.kernels().dofsPerElement(); ++i)
-      ASSERT_EQ(a[i], b[i]) << "element " << e << " dof " << i;
-  }
-}
-
 TEST(DistEquivalenceExtra, RawMatchesCompressedToRoundOff) {
   // Raw 9 x B vs sender-compressed 9 x F payloads: both reproduce the
   // shared-memory arithmetic exactly, so they agree far below round-off of

@@ -4,6 +4,8 @@
 // return identical analytic flop counts. Covered here:
 //   * per-kernel randomized-operand exactness for {W = 1, 2, 4} x
 //     {dense, CSR} x {star, right} (double and float),
+//   * the fused-width CSR right-multiply on the real stiffness/CK
+//     operators and the CSR star on the elastic Jacobian union pattern,
 //   * the W = 1 dense right-multiply on the real DG operators of orders
 //     1-6 and the W = 1 dense star on the Jacobian/coupling shapes, with
 //     trims, zeros, -0.0 and subnormals (double and float),
@@ -29,7 +31,6 @@
 #include "kernels/ader_kernels.hpp"
 #include "kernels/kernel_setup.hpp"
 #include "linalg/small_gemm_dispatch.hpp"
-#include "linalg/small_gemm_specialized.hpp"
 #include "mesh/box_gen.hpp"
 #include "mesh/geometry.hpp"
 #include "physics/attenuation.hpp"
@@ -318,18 +319,14 @@ TEST(KernelBackends, SplatKeepsBitPatterns) {
 
 // -- registry / resolution / parsing ----------------------------------------
 
-TEST(KernelBackends, RegistryListsScalarVectorAndSpecialized) {
+TEST(KernelBackends, RegistryListsScalarAndVector) {
   const auto& reg = nl::kernelBackendRegistry();
-  ASSERT_EQ(reg.size(), 3u);
+  ASSERT_EQ(reg.size(), 2u);
   EXPECT_EQ(reg[0].id, KernelBackend::kScalar);
   EXPECT_STREQ(reg[0].name, "scalar");
   EXPECT_TRUE(reg[0].available);  // the reference backend always exists
   EXPECT_EQ(reg[1].id, KernelBackend::kVector);
   EXPECT_STREQ(reg[1].name, "vector");
-  EXPECT_EQ(reg[2].id, KernelBackend::kSpecialized);
-  EXPECT_STREQ(reg[2].name, "specialized");
-  // specialized is vector + pattern kernels: both share one availability rule
-  EXPECT_EQ(reg[2].available, reg[1].available);
   for (const auto& info : reg) EXPECT_FALSE(std::string(info.description).empty());
 }
 
@@ -337,11 +334,10 @@ TEST(KernelBackends, ParseRoundTrips) {
   EXPECT_EQ(nl::parseKernelBackend("auto"), KernelBackend::kAuto);
   EXPECT_EQ(nl::parseKernelBackend("scalar"), KernelBackend::kScalar);
   EXPECT_EQ(nl::parseKernelBackend("vector"), KernelBackend::kVector);
-  EXPECT_EQ(nl::parseKernelBackend("specialized"), KernelBackend::kSpecialized);
+  EXPECT_THROW(nl::parseKernelBackend("specialized"), std::invalid_argument);
   EXPECT_THROW(nl::parseKernelBackend("avx512"), std::invalid_argument);
   EXPECT_THROW(nl::parseKernelBackend(""), std::invalid_argument);
-  for (auto b : {KernelBackend::kAuto, KernelBackend::kScalar, KernelBackend::kVector,
-                 KernelBackend::kSpecialized})
+  for (auto b : {KernelBackend::kAuto, KernelBackend::kScalar, KernelBackend::kVector})
     EXPECT_EQ(nl::parseKernelBackend(nl::kernelBackendName(b)), b);
 }
 
@@ -349,21 +345,13 @@ TEST(KernelBackends, ResolutionNeverReturnsAuto) {
   EXPECT_EQ(nl::resolveKernelBackend(KernelBackend::kScalar), KernelBackend::kScalar);
   const KernelBackend autoPick = nl::resolveKernelBackend(KernelBackend::kAuto);
   EXPECT_NE(autoPick, KernelBackend::kAuto);
-  // specialized is opt-in only: its win is shape-dependent, so auto must
-  // never escalate to it on its own.
-  EXPECT_NE(autoPick, KernelBackend::kSpecialized);
   // On GCC/Clang builds the vector kernels are compiled in; auto must pick
-  // them whenever the CPU reports any SIMD, and an explicit vector or
-  // specialized request must then resolve (not fall back, not throw).
+  // them whenever the CPU reports any SIMD, and an explicit vector request
+  // must then resolve (not fall back, not throw).
   if (nl::vectorBackendCompiled() && nl::detectCpuSimd().any()) {
     EXPECT_EQ(autoPick, KernelBackend::kVector);
     EXPECT_EQ(nl::resolveKernelBackend(KernelBackend::kVector), KernelBackend::kVector);
-    EXPECT_EQ(nl::resolveKernelBackend(KernelBackend::kSpecialized),
-              KernelBackend::kSpecialized);
     EXPECT_EQ(nl::resolvedKernelBackendLabel(KernelBackend::kVector).rfind("vector(", 0), 0u);
-    EXPECT_EQ(
-        nl::resolvedKernelBackendLabel(KernelBackend::kSpecialized).rfind("specialized(", 0),
-        0u);
   }
 }
 
@@ -374,83 +362,39 @@ TEST(KernelBackends, DetectionIsStableAndLabelled) {
   EXPECT_EQ(nl::resolvedKernelBackendLabel(KernelBackend::kScalar), "scalar");
 }
 
-// -- specialized backend: committed patterns vs runtime operators -----------
+// -- fused-width CSR kernels on the real DG operators -----------------------
 
 namespace {
 
-/// The generic-geometry star pattern: union over directions of the elastic
-/// Jacobian patterns (mirrors tools/gen_specialized.cpp).
-nl::Matrix elasticStarUnion() {
+/// The generic-geometry star pattern (union over directions of the elastic
+/// Jacobian patterns) with pattern-preserving random values.
+nl::Matrix elasticStarUnion(unsigned seed) {
   const np::Material mat = np::elasticMaterial(2700.0, 6000.0, 3464.0);
+  std::mt19937 rng(seed);
+  std::uniform_real_distribution<double> uni(0.1, 2.0);
   nl::Matrix u(nglts::kElasticVars, nglts::kElasticVars);
   for (int_t d = 0; d < 3; ++d) {
     const nl::Matrix j = np::elasticJacobian(mat, d);
     for (int_t r = 0; r < nglts::kElasticVars; ++r)
       for (int_t c = 0; c < nglts::kElasticVars; ++c)
-        if (j(r, c) != 0.0) u(r, c) = 1.0;
+        if (j(r, c) != 0.0 && u(r, c) == 0.0) u(r, c) = uni(rng);
   }
   return u;
 }
 
-} // namespace
-
-/// Drift guard for the committed tables: every registered operator pattern,
-/// rebuilt the way the runtime builds it, must still be found by the
-/// exact-match lookup. If this fails, rerun tools/gen_specialized.cpp — the
-/// backend itself only loses speed (per-operator generic fallback), not
-/// correctness.
-TEST(KernelBackends, SpecializedLookupMatchesRuntimeOperators) {
-  for (const int_t order : {int_t(3), int_t(4)}) {
-    const auto gm = nglts::basis::buildGlobalMatrices(order);
-    for (int_t c = 0; c < 3; ++c) {
-      const auto kD = nl::toCsr<double>(gm->kXi[c]);
-      const auto gD = nl::toCsr<double>(gm->gXi[c]);
-      EXPECT_NE((nl::findSpecializedRightCsr<double, 2>(kD)), nullptr)
-          << "order " << order << " kXi[" << c << "]";
-      EXPECT_NE((nl::findSpecializedRightCsr<double, 2>(gD)), nullptr)
-          << "order " << order << " gXi[" << c << "]";
-      // float shares the pattern (toCsr thresholds the double value)
-      EXPECT_NE((nl::findSpecializedRightCsr<float, 8>(nl::toCsr<float>(gm->kXi[c]))), nullptr);
-      // W = 1 GEMM shapes delegate to the scalar reference by design
-      EXPECT_EQ((nl::findSpecializedRightCsr<double, 1>(kD)), nullptr);
-    }
-  }
-  EXPECT_NE((nl::findSpecializedStarCsr<double, 2>(nl::toCsr<double>(elasticStarUnion()))),
-            nullptr);
-  // An unregistered pattern must miss, never mis-match: the 10x10 identity.
-  nl::Matrix eye(10, 10);
-  for (int_t i = 0; i < 10; ++i) eye(i, i) = 1.0;
-  EXPECT_EQ((nl::findSpecializedRightCsr<double, 2>(nl::toCsr<double>(eye))), nullptr);
-  EXPECT_EQ((nl::findSpecializedStarCsr<double, 2>(nl::toCsr<double>(eye))), nullptr);
-}
-
-/// At the raw dispatch level kSpecialized returns the generic vector tables
-/// (tagged kVector) — the pattern kernels live per-operator in
-/// `SmallOp::specializedRight`, resolved by AderKernels.
-TEST(KernelBackends, SpecializedDispatchFallsThroughToVectorTables) {
-  NGLTS_REQUIRE_VECTOR_BACKEND();
-  const auto& spec = nl::smallGemmOps<double, 2>(KernelBackend::kSpecialized);
-  const auto& vec = nl::smallGemmOps<double, 2>(KernelBackend::kVector);
-  EXPECT_EQ(spec.backend, KernelBackend::kVector);
-  EXPECT_EQ(spec.rightCsr, vec.rightCsr);
-  EXPECT_EQ(spec.starCsr, vec.starCsr);
-}
-
-namespace {
-
-/// Specialized right-multiply vs the scalar reference on the registered
-/// operator patterns: bitwise-identical outputs and identical analytic flop
-/// counts, including the runtime kEff trim (and its clamp past b.rows).
+/// Vector vs scalar CSR right-multiply on the stiffness and CK operators
+/// of orders 3/4 at a fused width: bitwise-identical outputs and identical
+/// analytic flop counts, including the runtime kEff trim (and its clamp
+/// past b.rows).
 template <typename Real, int W>
-void checkSpecializedRightAgree(unsigned seed) {
+void checkRightCsrOnOperators(unsigned seed) {
   NGLTS_REQUIRE_VECTOR_BACKEND();
   const auto& scalar = nl::smallGemmOps<Real, W>(KernelBackend::kScalar);
+  const auto& vector = nl::smallGemmOps<Real, W>(KernelBackend::kVector);
   for (const int_t order : {int_t(3), int_t(4)}) {
     const auto gm = nglts::basis::buildGlobalMatrices(order);
     for (const nl::Matrix* m : {&gm->kXi[0], &gm->gXi[1]}) {
       const auto csr = nl::toCsr<Real>(*m);
-      const auto fn = nl::findSpecializedRightCsr<Real, W>(csr);
-      ASSERT_NE(fn, nullptr);
       const int_t nVars = 9, ldd = csr.rows + 3, ldo = csr.cols + 2;
       for (const int_t kEff : {csr.rows, csr.rows / 2, csr.rows + 5}) {
         const auto d =
@@ -458,7 +402,7 @@ void checkSpecializedRightAgree(unsigned seed) {
         auto o1 = randomVec<Real>(static_cast<std::size_t>(nVars) * ldo * W, seed + 1);
         auto o2 = o1;
         const auto f1 = scalar.rightCsr(nVars, kEff, csr, d.data(), o1.data(), ldd, ldo);
-        const auto f2 = fn(nVars, kEff, csr, d.data(), o2.data(), ldd, ldo);
+        const auto f2 = vector.rightCsr(nVars, kEff, csr, d.data(), o2.data(), ldd, ldo);
         EXPECT_EQ(f1, f2) << "flop parity, order " << order << " kEff " << kEff;
         EXPECT_TRUE(bitwiseEqual(o1, o2))
             << "order " << order << " W " << W << " kEff " << kEff;
@@ -468,30 +412,21 @@ void checkSpecializedRightAgree(unsigned seed) {
   }
 }
 
-/// Specialized star vs the scalar reference on the elastic union pattern,
-/// with both an even and an odd (tail-bearing) column count.
+/// Vector vs scalar CSR star on the elastic union pattern, with both an
+/// even and an odd (tail-bearing) column count.
 template <typename Real, int W>
-void checkSpecializedStarAgree(unsigned seed) {
+void checkStarCsrOnUnion(unsigned seed) {
   NGLTS_REQUIRE_VECTOR_BACKEND();
   const auto& scalar = nl::smallGemmOps<Real, W>(KernelBackend::kScalar);
-  nl::Matrix u = elasticStarUnion();
-  // Pattern-preserving random values (the committed pattern fixes only the
-  // structure; the values stay runtime operands).
-  std::mt19937 rng(seed);
-  std::uniform_real_distribution<double> uni(0.1, 2.0);
-  for (int_t r = 0; r < u.rows(); ++r)
-    for (int_t c = 0; c < u.cols(); ++c)
-      if (u(r, c) != 0.0) u(r, c) = uni(rng);
-  const auto csr = nl::toCsr<Real>(u);
-  const auto fn = nl::findSpecializedStarCsr<Real, W>(csr);
-  ASSERT_NE(fn, nullptr);
+  const auto& vector = nl::smallGemmOps<Real, W>(KernelBackend::kVector);
+  const auto csr = nl::toCsr<Real>(elasticStarUnion(seed));
   for (const int_t nCols : {int_t(20), int_t(13)}) {
     const int_t ld = nCols + 4;
     const auto d = randomVec<Real>(static_cast<std::size_t>(csr.cols) * ld * W, seed + 1);
     auto o1 = randomVec<Real>(static_cast<std::size_t>(csr.rows) * ld * W, seed + 2);
     auto o2 = o1;
     const auto f1 = scalar.starCsr(csr, nCols, ld, d.data(), o1.data());
-    const auto f2 = fn(csr, nCols, ld, d.data(), o2.data());
+    const auto f2 = vector.starCsr(csr, nCols, ld, d.data(), o2.data());
     EXPECT_EQ(f1, f2) << "star flop parity, nCols " << nCols;
     EXPECT_TRUE(bitwiseEqual(o1, o2)) << "star W " << W << " nCols " << nCols;
   }
@@ -499,20 +434,12 @@ void checkSpecializedStarAgree(unsigned seed) {
 
 } // namespace
 
-TEST(KernelBackends, SpecializedRightBitwiseDoubleW2) {
-  checkSpecializedRightAgree<double, 2>(21);
-}
-TEST(KernelBackends, SpecializedRightBitwiseDoubleW4) {
-  checkSpecializedRightAgree<double, 4>(22);
-}
-TEST(KernelBackends, SpecializedRightBitwiseFloatW8) {
-  checkSpecializedRightAgree<float, 8>(23);
-}
-TEST(KernelBackends, SpecializedRightBitwiseFloatW16) {
-  checkSpecializedRightAgree<float, 16>(24);
-}
-TEST(KernelBackends, SpecializedStarBitwiseDoubleW2) { checkSpecializedStarAgree<double, 2>(25); }
-TEST(KernelBackends, SpecializedStarBitwiseFloatW8) { checkSpecializedStarAgree<float, 8>(26); }
+TEST(KernelBackends, RightCsrOnOperatorsDoubleW2) { checkRightCsrOnOperators<double, 2>(21); }
+TEST(KernelBackends, RightCsrOnOperatorsDoubleW4) { checkRightCsrOnOperators<double, 4>(22); }
+TEST(KernelBackends, RightCsrOnOperatorsFloatW8) { checkRightCsrOnOperators<float, 8>(23); }
+TEST(KernelBackends, RightCsrOnOperatorsFloatW16) { checkRightCsrOnOperators<float, 16>(24); }
+TEST(KernelBackends, StarCsrOnUnionDoubleW2) { checkStarCsrOnUnion<double, 2>(25); }
+TEST(KernelBackends, StarCsrOnUnionFloatW8) { checkStarCsrOnUnion<float, 8>(26); }
 
 // -- AderKernels-level equivalence ------------------------------------------
 
@@ -589,16 +516,6 @@ TEST(KernelBackends, AderKernelsBitwiseAcrossBackends) {
   const auto [vOut2, vFlops2] = runAderPipeline<2>(f, true, KernelBackend::kVector);
   EXPECT_EQ(sFlops2, vFlops2);
   EXPECT_TRUE(bitwiseEqual(sOut2, vOut2));
-  // specialized: pattern kernels fire on the registered kXi/gXi operators
-  // (order 4, sparse, W = 2) and must stay bitwise + flop-identical.
-  const auto [pOut2, pFlops2] = runAderPipeline<2>(f, true, KernelBackend::kSpecialized);
-  EXPECT_EQ(sFlops2, pFlops2) << "specialized flop parity";
-  EXPECT_TRUE(bitwiseEqual(sOut2, pOut2)) << "specialized W=2 sparse";
-  // W = 1 specialized degrades to the generic path per the W=1 rule.
-  const auto [sOut1, sFlops1] = runAderPipeline<1>(f, true, KernelBackend::kScalar);
-  const auto [pOut1, pFlops1] = runAderPipeline<1>(f, true, KernelBackend::kSpecialized);
-  EXPECT_EQ(sFlops1, pFlops1);
-  EXPECT_TRUE(bitwiseEqual(sOut1, pOut1));
 }
 
 // -- end-to-end: quickstart seismogram per forced backend -------------------
@@ -620,15 +537,11 @@ TEST(KernelBackends, QuickstartSeismogramBitwiseAcrossBackends) {
   const auto scalarRun = runWith(KernelBackend::kScalar);
   const auto vectorRun = runWith(KernelBackend::kVector);
   const auto autoRun = runWith(KernelBackend::kAuto);
-  const auto specialRun = runWith(KernelBackend::kSpecialized);
   ASSERT_FALSE(scalarRun.trace.empty());
   EXPECT_EQ(scalarRun.stats.flops, vectorRun.stats.flops) << "end-to-end flop parity";
-  EXPECT_EQ(scalarRun.stats.flops, specialRun.stats.flops) << "specialized flop parity";
   EXPECT_TRUE(bitwiseEqual(scalarRun.trace, vectorRun.trace));
   EXPECT_TRUE(bitwiseEqual(scalarRun.trace, autoRun.trace));
-  EXPECT_TRUE(bitwiseEqual(scalarRun.trace, specialRun.trace));
   // The summary records which backend produced the run (CI greps it).
   EXPECT_NE(scalarRun.summary.find("kernel backend: scalar"), std::string::npos);
   EXPECT_NE(vectorRun.summary.find("kernel backend: vector"), std::string::npos);
-  EXPECT_NE(specialRun.summary.find("kernel backend: specialized"), std::string::npos);
 }

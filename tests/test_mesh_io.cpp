@@ -358,6 +358,36 @@ TEST(GmshConformance, RejectsDegenerateTets) {
   expectParseError(content, "degenerate tetrahedron", 19);
 }
 
+TEST(GmshConformance, RejectsNegativeNodeCount) {
+  std::string content(kSingleTet);
+  const auto pos = content.find("3 1 0 4\n");
+  ASSERT_NE(pos, std::string::npos);
+  content.replace(pos, 8, "3 1 0 -1\n");
+  expectParseError(content, "negative node count -1", 6);
+}
+
+TEST(GmshConformance, HugeNodeCountFailsOnTheFileNotTheAllocator) {
+  // A declared count far beyond the file: the reader sizes nothing from it
+  // and fails where the file stops delivering tag lines (the first
+  // coordinate line).
+  std::string content(kSingleTet);
+  const auto pos = content.find("3 1 0 4\n");
+  ASSERT_NE(pos, std::string::npos);
+  content.replace(pos, 8, "3 1 0 4000000000000\n");
+  expectParseError(content, "expected a single node tag per line", 11);
+}
+
+TEST(GmshConformance, RejectsNegativeSectionCounts) {
+  expectParseError(
+      "$MeshFormat\n4.1 0 8\n$EndMeshFormat\n$Nodes\n-2 4 1 4\n",
+      "negative node block count -2", 5);
+  std::string content(kSingleTet);
+  const auto pos = content.find("3 1 4 1\n");
+  ASSERT_NE(pos, std::string::npos);
+  content.replace(pos, 8, "3 1 4 -7\n");
+  expectParseError(content, "negative element count -7", 18);
+}
+
 TEST(GmshConformance, RejectsMeshWithoutNodes) {
   expectParseError("$MeshFormat\n4.1 0 8\n$EndMeshFormat\n", "missing $Nodes");
 }

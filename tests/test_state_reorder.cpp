@@ -1,14 +1,21 @@
 // The cluster-contiguous solver arena (solver/state.hpp): permutation
 // round-trip of the external <-> internal id maps, the cluster-contiguity
 // invariant of the internal layout, the neighbor-packing property of
-// partition::buildClusterReordering, and bitwise identity of GTS runs with
-// the reorder enabled vs disabled (the permutation must never change the
-// math, only the memory layout).
+// partition::buildClusterReordering, and permutation invariance: the same
+// mesh with its elements in a shuffled order lands in a different arena
+// layout but yields bitwise-identical seismograms and DOFs (addressed by
+// external id) for every scheme and on two ranks — the layout never
+// changes operand order, only where the operands live.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <numeric>
+#include <random>
 
 #include "mesh/box_gen.hpp"
+#include "parallel/dist_sim.hpp"
 #include "partition/reorder.hpp"
 #include "physics/attenuation.hpp"
 #include "solver/simulation.hpp"
@@ -17,40 +24,73 @@ namespace ns = nglts::solver;
 namespace nm = nglts::mesh;
 namespace np = nglts::physics;
 namespace nsei = nglts::seismo;
+namespace npar = nglts::parallel;
 namespace npart = nglts::partition;
 using nglts::idx_t;
 using nglts::int_t;
 
 namespace {
 
-/// Two-velocity-layer box (miniature LOH-style setting) with a genuine
-/// multi-cluster clustering.
-ns::Simulation<double, 1> makeSim(ns::TimeScheme scheme, int_t numClusters, bool reorder,
-                                  idx_t n = 5) {
+struct Box {
+  nm::TetMesh mesh;
+  std::vector<np::Material> mats;
+};
+
+/// Two-velocity-layer box (miniature LOH-style setting) that yields a
+/// genuine multi-cluster clustering.
+Box makeBox(idx_t n = 5) {
   nm::BoxSpec spec;
   spec.planes[0] = nm::uniformPlanes(0.0, 1000.0, n);
   spec.planes[1] = nm::uniformPlanes(0.0, 1000.0, n);
   spec.planes[2] = nm::uniformPlanes(0.0, 1000.0, n);
   spec.jitter = 0.18;
   spec.freeSurfaceTop = true;
-  auto mesh = nm::generateBox(spec);
-
-  std::vector<np::Material> mats(mesh.numElements());
-  for (idx_t e = 0; e < mesh.numElements(); ++e) {
-    const auto c = mesh.centroid(e);
-    const double vs = c[2] > 500.0 ? 400.0 : 1600.0;
-    mats[e] = np::elasticMaterial(2600.0, vs * std::sqrt(3.0), vs);
+  Box box{nm::generateBox(spec), {}};
+  box.mats.resize(box.mesh.numElements());
+  for (idx_t e = 0; e < box.mesh.numElements(); ++e) {
+    const double vs = box.mesh.centroid(e)[2] > 500.0 ? 400.0 : 1600.0;
+    box.mats[e] = np::elasticMaterial(2600.0, vs * std::sqrt(3.0), vs);
   }
+  return box;
+}
 
+ns::SimConfig makeCfg(ns::TimeScheme scheme, int_t numClusters) {
   ns::SimConfig cfg;
   cfg.order = 3;
   cfg.scheme = scheme;
   cfg.numClusters = numClusters;
-  cfg.clusterReorder = reorder;
-  return ns::Simulation<double, 1>(std::move(mesh), std::move(mats), cfg);
+  return cfg;
 }
 
-void addSourceAndReceiver(ns::Simulation<double, 1>& sim) {
+ns::Simulation<double, 1> makeSim(ns::TimeScheme scheme, int_t numClusters) {
+  Box box = makeBox();
+  return ns::Simulation<double, 1>(std::move(box.mesh), std::move(box.mats),
+                                   makeCfg(scheme, numClusters));
+}
+
+/// The same box with its elements in a seeded shuffled order: element
+/// records and their faces move, neighbor ids are remapped, vertices stay.
+/// `perm.newId[e]` is the shuffled id of original element e.
+struct ShuffledBox {
+  Box box;
+  npart::Reordering perm;
+};
+
+ShuffledBox shuffleElements(const Box& box, unsigned seed) {
+  const idx_t n = box.mesh.numElements();
+  npart::Reordering r;
+  r.oldId.resize(n);
+  std::iota(r.oldId.begin(), r.oldId.end(), idx_t{0});
+  std::shuffle(r.oldId.begin(), r.oldId.end(), std::mt19937(seed));
+  r.newId.resize(n);
+  for (idx_t e = 0; e < n; ++e) r.newId[r.oldId[e]] = e;
+  ShuffledBox out{{npart::applyReordering(box.mesh, r), npart::permute(box.mats, r)}, r};
+  nm::checkConnectivity(out.box.mesh);
+  return out;
+}
+
+template <typename Sim>
+void addSourceAndReceiver(Sim& sim) {
   auto stf = std::make_shared<nsei::RickerWavelet>(0.6, 2.0);
   sim.addPointSource(
       nsei::momentTensorSource({510.0, 480.0, 350.0}, {0, 0, 0, 1e9, 0, 0}, stf));
@@ -60,7 +100,7 @@ void addSourceAndReceiver(ns::Simulation<double, 1>& sim) {
 } // namespace
 
 TEST(StateReorder, PermutationRoundTrip) {
-  auto sim = makeSim(ns::TimeScheme::kLtsNextGen, 3, true);
+  auto sim = makeSim(ns::TimeScheme::kLtsNextGen, 3);
   const auto& st = sim.state();
   const idx_t n = st.numElements();
   ASSERT_EQ(n, sim.meshRef().numElements());
@@ -76,9 +116,8 @@ TEST(StateReorder, PermutationRoundTrip) {
 }
 
 TEST(StateReorder, ClustersAreContiguousRanges) {
-  auto sim = makeSim(ns::TimeScheme::kLtsNextGen, 3, true);
+  auto sim = makeSim(ns::TimeScheme::kLtsNextGen, 3);
   const auto& st = sim.state();
-  ASSERT_TRUE(st.contiguousClusters());
 
   // Ranges tile [0, n) and every element inside a range carries its
   // cluster's id.
@@ -145,67 +184,91 @@ TEST(StateReorder, BfsPacksNeighborsCloserThanStableSort) {
   }
 }
 
-TEST(StateReorder, GtsBitwiseIdenticalWithAndWithoutReorder) {
-  auto on = makeSim(ns::TimeScheme::kGts, 1, true);
-  auto off = makeSim(ns::TimeScheme::kGts, 1, false);
-  ASSERT_TRUE(on.state().contiguousClusters());
-  ASSERT_FALSE(off.state().contiguousClusters());
-  addSourceAndReceiver(on);
-  addSourceAndReceiver(off);
-  on.run(0.5);
-  off.run(0.5);
+namespace {
 
-  // DOFs, addressed by external ids, must agree bit for bit: the reorder
-  // changes the memory layout, never the math.
-  for (idx_t el = 0; el < on.meshRef().numElements(); ++el) {
-    const double* a = on.dofs(el);
-    const double* b = off.dofs(el);
-    for (std::size_t i = 0; i < on.kernels().dofsPerElement(); ++i)
-      ASSERT_EQ(a[i], b[i]) << "element " << el << " dof " << i;
-  }
-
-  // Seismograms too (sampled inside element-local steps).
-  const auto& ta = on.receiver(0).traces[0];
-  const auto& tb = off.receiver(0).traces[0];
-  ASSERT_EQ(ta.times.size(), tb.times.size());
-  ASSERT_GT(ta.times.size(), 0u);
-  for (std::size_t i = 0; i < ta.times.size(); ++i) {
-    ASSERT_EQ(ta.times[i], tb.times[i]);
-    for (int_t v = 0; v < nglts::kElasticVars; ++v)
-      ASSERT_EQ(ta.values[i][v], tb.values[i][v]) << "sample " << i << " var " << v;
-  }
+/// Seismograms must agree bit for bit (memcmp: -0.0 and NaN payloads count).
+void expectSameTrace(const nsei::Seismogram& a, const nsei::Seismogram& b) {
+  ASSERT_EQ(a.times.size(), b.times.size());
+  ASSERT_GT(a.times.size(), 0u);
+  EXPECT_EQ(std::memcmp(a.times.data(), b.times.data(), a.times.size() * sizeof(double)), 0);
+  EXPECT_EQ(std::memcmp(a.values.data(), b.values.data(),
+                        a.values.size() * sizeof(a.values[0])),
+            0);
 }
 
-TEST(StateReorder, LtsBitwiseIdenticalWithAndWithoutReorder) {
-  // Same property under genuine multi-cluster LTS: per-element updates are
-  // deterministic and layout-independent.
-  auto on = makeSim(ns::TimeScheme::kLtsNextGen, 3, true);
-  auto off = makeSim(ns::TimeScheme::kLtsNextGen, 3, false);
-  addSourceAndReceiver(on);
-  addSourceAndReceiver(off);
-  on.run(0.5);
-  off.run(0.5);
-  for (idx_t el = 0; el < on.meshRef().numElements(); ++el) {
-    const double* a = on.dofs(el);
-    const double* b = off.dofs(el);
-    for (std::size_t i = 0; i < on.kernels().dofsPerElement(); ++i)
-      ASSERT_EQ(a[i], b[i]) << "element " << el << " dof " << i;
+/// `scheme` on the box and on its shuffled copy: the clustering follows the
+/// elements, the arena layouts differ, and seismograms and DOFs agree bit
+/// for bit by external id.
+void expectShuffleInvariant(ns::TimeScheme scheme, int_t numClusters, double tEnd) {
+  const Box box = makeBox();
+  const ShuffledBox sh = shuffleElements(box, 20261020);
+  const ns::SimConfig cfg = makeCfg(scheme, numClusters);
+  ns::Simulation<double, 1> ref(box.mesh, box.mats, cfg);
+  ns::Simulation<double, 1> shuf(sh.box.mesh, sh.box.mats, cfg);
+  const idx_t n = box.mesh.numElements();
+
+  ASSERT_EQ(ref.clustering().numClusters, shuf.clustering().numClusters);
+  if (numClusters > 1) ASSERT_GT(ref.clustering().numClusters, 1);
+  bool layoutMoved = false;
+  for (idx_t e = 0; e < n; ++e) {
+    const idx_t s = sh.perm.newId[e];
+    ASSERT_EQ(ref.clustering().cluster[e], shuf.clustering().cluster[s]) << "element " << e;
+    layoutMoved |= ref.state().toInternal(e) != shuf.state().toInternal(s);
   }
+  EXPECT_TRUE(layoutMoved) << "the shuffle left every arena slot in place";
+
+  addSourceAndReceiver(ref);
+  addSourceAndReceiver(shuf);
+  ref.run(tEnd);
+  shuf.run(tEnd);
+
+  expectSameTrace(ref.receiver(0).traces[0], shuf.receiver(0).traces[0]);
+  const std::size_t bytes = ref.kernels().dofsPerElement() * sizeof(double);
+  for (idx_t e = 0; e < n; ++e)
+    ASSERT_EQ(std::memcmp(ref.dofs(e), shuf.dofs(sh.perm.newId[e]), bytes), 0)
+        << "element " << e;
 }
 
-TEST(StateReorder, BaselineBitwiseIdenticalWithAndWithoutReorder) {
-  // And under the buffer+derivative baseline scheme, whose neighbor phase
-  // reads whole derivative-stack arena slices.
-  auto on = makeSim(ns::TimeScheme::kLtsBaseline, 3, true);
-  auto off = makeSim(ns::TimeScheme::kLtsBaseline, 3, false);
-  addSourceAndReceiver(on);
-  addSourceAndReceiver(off);
-  on.run(0.3);
-  off.run(0.3);
-  for (idx_t el = 0; el < on.meshRef().numElements(); ++el) {
-    const double* a = on.dofs(el);
-    const double* b = off.dofs(el);
-    for (std::size_t i = 0; i < on.kernels().dofsPerElement(); ++i)
-      ASSERT_EQ(a[i], b[i]) << "element " << el << " dof " << i;
-  }
+} // namespace
+
+TEST(StateReorder, GtsBitwiseUnderElementShuffle) {
+  expectShuffleInvariant(ns::TimeScheme::kGts, 1, 0.5);
+}
+
+TEST(StateReorder, LtsBitwiseUnderElementShuffle) {
+  expectShuffleInvariant(ns::TimeScheme::kLtsNextGen, 3, 0.5);
+}
+
+TEST(StateReorder, BaselineBitwiseUnderElementShuffle) {
+  // The buffer+derivative baseline scheme's neighbor phase reads whole
+  // derivative-stack arena slices.
+  expectShuffleInvariant(ns::TimeScheme::kLtsBaseline, 3, 0.3);
+}
+
+TEST(StateReorder, TwoRankLtsBitwiseUnderElementShuffle) {
+  // Two ranks over the shuffled box against one rank over the original:
+  // the rank-local halo views are built in the shuffled order too.
+  const double tEnd = 0.3;
+  const Box box = makeBox();
+  const ShuffledBox sh = shuffleElements(box, 7);
+  const ns::SimConfig cfg = makeCfg(ns::TimeScheme::kLtsNextGen, 3);
+  ns::Simulation<double, 1> ref(box.mesh, box.mats, cfg);
+  addSourceAndReceiver(ref);
+  ref.run(tEnd);
+
+  std::vector<int_t> part(sh.box.mesh.numElements());
+  for (idx_t e = 0; e < sh.box.mesh.numElements(); ++e)
+    part[e] = sh.box.mesh.centroid(e)[0] > 500.0 ? 1 : 0;
+  npar::DistConfig dcfg;
+  dcfg.sim = cfg;
+  npar::DistributedSimulation<double, 1> dist(sh.box.mesh, sh.box.mats, part, dcfg);
+  ASSERT_EQ(dist.ranks(), 2);
+  addSourceAndReceiver(dist);
+  dist.run(tEnd);
+
+  expectSameTrace(ref.receiver(0).traces[0], dist.receiver(0).traces[0]);
+  const std::size_t bytes = ref.kernels().dofsPerElement() * sizeof(double);
+  for (idx_t e = 0; e < box.mesh.numElements(); ++e)
+    ASSERT_EQ(std::memcmp(ref.dofs(e), dist.dofs(sh.perm.newId[e]), bytes), 0)
+        << "element " << e;
 }

@@ -6,8 +6,7 @@
 // work-steals them whole; each element is updated by exactly one chunk with
 // chunk-private scratch, so steal timing can never change a result and no
 // tolerance is needed — any drift is a chunking/workspace bug. Also
-// covered: the index-list layout (clusterReorder = false), adversarial steal
-// timings injected through the executor's chunk-delay seam, the hybrid
+// covered: adversarial steal timings injected through the executor's chunk-delay seam, the hybrid
 // ranks x threads distributed run (lockstep and overlapped exchange) vs the
 // 1-rank 1-thread reference, the steal scheduler's chunk-indivisibility
 // property, and the numThreads validation.
@@ -124,20 +123,17 @@ void expectBitwiseDofs(const SimA& a, const SimB& b, idx_t numElements, std::siz
 /// bitwise seismograms and DOFs, and exact flop parity (the per-chunk
 /// uint64 counters sum to the same total whichever thread ran which chunk).
 template <int W>
-void runThreadEquivalence(ns::TimeScheme scheme, int_t threads, int_t mechanisms,
-                          bool clusterReorder = true) {
+void runThreadEquivalence(ns::TimeScheme scheme, int_t threads, int_t mechanisms) {
   const double tEnd = 0.2;
   Fixture f = makeFixture(mechanisms);
 
-  ns::SimConfig refCfg = makeCfg(scheme, mechanisms, /*threads=*/1);
-  refCfg.clusterReorder = clusterReorder;
+  const ns::SimConfig refCfg = makeCfg(scheme, mechanisms, /*threads=*/1);
   ns::Simulation<double, W> ref(f.mesh, f.mats, refCfg);
   addSetup<ns::Simulation<double, W>, W>(ref);
   ref.setInitialCondition(initWave);
   const ns::PerfStats stRef = ref.run(tEnd);
 
-  ns::SimConfig thrCfg = makeCfg(scheme, mechanisms, threads);
-  thrCfg.clusterReorder = clusterReorder;
+  const ns::SimConfig thrCfg = makeCfg(scheme, mechanisms, threads);
   ns::Simulation<double, W> thr(f.mesh, f.mats, thrCfg);
   addSetup<ns::Simulation<double, W>, W>(thr);
   thr.setInitialCondition(initWave);
@@ -181,13 +177,6 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(ThreadedEquivalenceExtra, AnelasticBitwiseVsSingleThread) {
   runThreadEquivalence<1>(ns::TimeScheme::kLtsNextGen, 8, /*mechanisms=*/3);
-}
-
-TEST(ThreadedEquivalenceExtra, IndexListLayoutBitwiseVsSingleThread) {
-  // clusterReorder = false chunks the per-cluster index lists instead of
-  // contiguous ranges — a different chunk→element map, same bitwise result.
-  runThreadEquivalence<1>(ns::TimeScheme::kLtsNextGen, 4, /*mechanisms=*/0,
-                          /*clusterReorder=*/false);
 }
 
 TEST(ThreadedEquivalenceExtra, ThreadsExceedingElementsBitwise) {
